@@ -28,7 +28,12 @@
  *     with a chunk-dependent size: chunk shapes vary with the thread
  *     count, which would make the bytes_peak statistic (and therefore
  *     stats dumps) depend on PL_THREADS.  Allocate on the calling
- *     thread, outside the chunked region.
+ *     thread, outside the chunked region.  The one exception is
+ *     sample-sized scratch inside a per-sample chunk (nn layers run a
+ *     group's samples in parallel, each sample's kernels allocating
+ *     their own panels): its size is the sample's, whatever the
+ *     thread count, and each sample's scope rewinds before the next,
+ *     so bytes_peak stays invariant.
  *
  * Observability: peakBytes() reports the high-water mark of live
  * scratch over *all* arenas (live and retired threads).  Because rule

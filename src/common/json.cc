@@ -29,7 +29,22 @@ Value::asNumber() const
 int64_t
 Value::asInt() const
 {
-    return static_cast<int64_t>(std::llround(asNumber()));
+    const double v = asNumber();
+    // ±2^63 are exact doubles; int64 holds [-2^63, 2^63).
+    constexpr double kLimit = 9223372036854775808.0;
+    const bool in_range = v >= -kLimit && v < kLimit;
+    if (in_range && v == std::trunc(v))
+        return static_cast<int64_t>(v);
+    // The shortest rendering that reads back as v (2.6, not 2.6000…1).
+    char text[32];
+    for (int digits = 15; digits <= 17; ++digits) {
+        std::snprintf(text, sizeof(text), "%.*g", digits, v);
+        if (std::strtod(text, nullptr) == v)
+            break;
+    }
+    throw ConfigError(std::string("JSON number ") + text +
+                      (in_range ? " is not an integer"
+                                : " is outside the int64 range"));
 }
 
 const std::string &

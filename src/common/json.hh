@@ -85,7 +85,10 @@ class Value
     ///@{
     bool asBool() const;
     double asNumber() const;
-    /** asNumber() rounded to the nearest integer. */
+    /**
+     * asNumber() as an integer.  Throws ConfigError, naming the
+     * value, when it has a fraction or lies outside int64.
+     */
     int64_t asInt() const;
     const std::string &asString() const;
     ///@}

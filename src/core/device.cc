@@ -213,13 +213,9 @@ PipeLayerDevice::backward(const Tensor &delta,
             stage.weight_grad += ops::conv2dBackwardKernel(
                 input, d, stage.conv_kernel, stage.conv_kernel,
                 stage.conv_pad);
-            for (int64_t c = 0; c < d.dim(0); ++c) {
-                double acc = 0.0;
-                for (int64_t y = 0; y < d.dim(1); ++y)
-                    for (int64_t x = 0; x < d.dim(2); ++x)
-                        acc += d(c, y, x);
-                stage.bias_grad(c) += static_cast<float>(acc);
-            }
+            ops::accumulateChannelSums(d.data(), d.dim(0),
+                                       d.dim(1) * d.dim(2),
+                                       stage.bias_grad.data());
             if (idx > 0)
                 d = stage.conv->backwardError(d);
             break;

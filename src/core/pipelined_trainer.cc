@@ -456,14 +456,10 @@ PipelinedTrainer::trainBatch(const std::vector<Tensor> &inputs,
                         input_entry.output, delta_array,
                         stage.conv_kernel, stage.conv_kernel,
                         stage.conv_pad);
-                    for (int64_t c = 0; c < delta_array.dim(0); ++c) {
-                        double acc = 0.0;
-                        for (int64_t y = 0; y < delta_array.dim(1); ++y)
-                            for (int64_t x = 0; x < delta_array.dim(2);
-                                 ++x)
-                                acc += delta_array(c, y, x);
-                        stage.bias_grad(c) += static_cast<float>(acc);
-                    }
+                    ops::accumulateChannelSums(
+                        delta_array.data(), delta_array.dim(0),
+                        delta_array.dim(1) * delta_array.dim(2),
+                        stage.bias_grad.data());
                 } else {
                     const Tensor flat_in = input_entry.output.reshape(
                         {input_entry.output.numel()});

@@ -12,6 +12,7 @@
 #ifndef PIPELAYER_NN_LAYER_HH_
 #define PIPELAYER_NN_LAYER_HH_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,11 +39,20 @@ const char *layerKindName(LayerKind kind);
 /**
  * Abstract neural-network layer.
  *
- * Layers are stateful across a forward/backward pair: forward() caches
- * whatever backward() needs, and backward() accumulates parameter
- * gradients (so a batch is a sequence of forward/backward calls
- * followed by one applyUpdate(), matching the paper's batched weight
- * update in §4.4).
+ * Layers are stateful across a forward/backward pair: forward caches
+ * whatever backward needs, one slot per sample, and backward
+ * accumulates parameter gradients (so a batch is a sequence of
+ * forward/backward calls followed by one applyUpdate(), matching the
+ * paper's batched weight update in §4.4).
+ *
+ * Each layer has one implementation, over a group of samples
+ * (forwardSamples/backwardBatch).  The samples of a group are
+ * independent, so the heavy layers run them in parallel — one pool
+ * job per call, with the kernels inside running inline — and then
+ * add the per-sample parameter gradients in ascending sample order:
+ * the float-add sequence of one backward() per sample, so a group of
+ * any size gives bit-identical gradients.  The per-sample calls are
+ * groups of one, whose kernels keep their own internal parallelism.
  */
 class Layer
 {
@@ -58,20 +68,41 @@ class Layer
     /** Compute the output shape for a given input shape. */
     virtual Shape outputShape(const Shape &input_shape) const = 0;
 
+    /**
+     * Forward a group of samples (training mode): one output per
+     * input; caches each sample's state for backwardBatch().
+     */
+    std::vector<Tensor> forwardBatch(std::vector<Tensor> inputs)
+    {
+        return forwardSamples(std::move(inputs), /*train=*/true);
+    }
+
+    /** Inference over a group: forwardBatch()'s numerics, no cache. */
+    std::vector<Tensor> inferBatch(std::vector<Tensor> inputs)
+    {
+        return forwardSamples(std::move(inputs), /*train=*/false);
+    }
+
+    /**
+     * Backward a group: @p deltas[s] is the error at the output of
+     * sample s of the last forwardBatch().  Returns the errors at the
+     * inputs and accumulates parameter gradients.
+     */
+    virtual std::vector<Tensor>
+    backwardBatch(std::vector<Tensor> deltas) = 0;
+
     /** Forward pass for one sample; caches state for backward(). */
-    virtual Tensor forward(const Tensor &input) = 0;
+    Tensor forward(const Tensor &input);
+
+    /** Inference-only forward of one sample: caches nothing. */
+    Tensor infer(const Tensor &input);
 
     /**
-     * Inference-only forward pass: identical numerics to forward()
-     * but caches nothing.  Default delegates to forward().
+     * Backward pass of one sample: map the error at this layer's
+     * output to the error at its input, accumulating parameter
+     * gradients.
      */
-    virtual Tensor infer(const Tensor &input) { return forward(input); }
-
-    /**
-     * Backward pass: map the error at this layer's output to the
-     * error at its input, accumulating parameter gradients.
-     */
-    virtual Tensor backward(const Tensor &delta_out) = 0;
+    Tensor backward(const Tensor &delta_out);
 
     /** Clear accumulated gradients (start of a batch). */
     virtual void zeroGrads() {}
@@ -99,7 +130,23 @@ class Layer
 
     /** Number of trainable parameters. */
     int64_t parameterCount();
+
+  protected:
+    /** The forward implementation; caches per-sample state iff train. */
+    virtual std::vector<Tensor> forwardSamples(std::vector<Tensor> inputs,
+                                               bool train) = 0;
+
+    /** Assert a backward group matches the cached forward group. */
+    static void checkBackwardGroup(size_t deltas, size_t cached);
 };
+
+/**
+ * Run @p fn(s) for each sample s of a group of @p n, the samples in
+ * parallel as one pool job (kernels inside run inline).  A group of
+ * one runs on the caller outside any parallel region, so its kernels
+ * parallelise internally instead.
+ */
+void forEachSample(int64_t n, const std::function<void(int64_t)> &fn);
 
 using LayerPtr = std::unique_ptr<Layer>;
 

@@ -94,37 +94,45 @@ ConvLayer::outputShape(const Shape &input_shape) const
     return {out_channels_, ho, wo};
 }
 
-Tensor
-ConvLayer::forward(const Tensor &input)
+std::vector<Tensor>
+ConvLayer::forwardSamples(std::vector<Tensor> inputs, bool train)
 {
-    cached_input_ = input;
-    return ops::conv2d(input, weight_, bias_, stride_, pad_);
+    const int64_t n = static_cast<int64_t>(inputs.size());
+    std::vector<Tensor> out(inputs.size());
+    forEachSample(n, [&](int64_t s) {
+        out[s] = ops::conv2d(inputs[s], weight_, bias_, stride_, pad_);
+    });
+    if (train)
+        cached_inputs_ = std::move(inputs);
+    return out;
 }
 
-Tensor
-ConvLayer::infer(const Tensor &input)
-{
-    return ops::conv2d(input, weight_, bias_, stride_, pad_);
-}
-
-Tensor
-ConvLayer::backward(const Tensor &delta_out)
+std::vector<Tensor>
+ConvLayer::backwardBatch(std::vector<Tensor> deltas)
 {
     PL_ASSERT(stride_ == 1, "conv backward implemented for stride 1 only");
-    PL_ASSERT(cached_input_.numel() > 0, "backward before forward");
-
-    // ∂J/∂b_c = Σ_{u,v} δ[c, u, v]  (paper §4.4.1).
-    for (int64_t c = 0; c < out_channels_; ++c) {
-        double acc = 0.0;
-        for (int64_t y = 0; y < delta_out.dim(1); ++y)
-            for (int64_t x = 0; x < delta_out.dim(2); ++x)
-                acc += delta_out(c, y, x);
-        bias_grad_(c) += static_cast<float>(acc);
+    checkBackwardGroup(deltas.size(), cached_inputs_.size());
+    const int64_t n = static_cast<int64_t>(deltas.size());
+    std::vector<Tensor> kernel_grads(deltas.size());
+    std::vector<Tensor> delta_in(deltas.size());
+    forEachSample(n, [&](int64_t s) {
+        kernel_grads[s] = ops::conv2dBackwardKernel(
+            cached_inputs_[s], deltas[s], kernel_, kernel_, pad_);
+        delta_in[s] = ops::conv2dBackwardInput(deltas[s], weight_, pad_);
+    });
+    // Commit in ascending sample order: the float-add sequence of one
+    // backward() per sample.  ∂J/∂b_c = Σ_{u,v} δ[c, u, v] (§4.4.1).
+    for (size_t s = 0; s < deltas.size(); ++s) {
+        const Tensor &delta = deltas[s];
+        PL_ASSERT(delta.rank() == 3 && delta.dim(0) == out_channels_,
+                  "conv backward expects (%lld, H, W) errors",
+                  (long long)out_channels_);
+        ops::accumulateChannelSums(delta.data(), out_channels_,
+                                   delta.dim(1) * delta.dim(2),
+                                   bias_grad_.data());
+        weight_grad_ += kernel_grads[s];
     }
-
-    weight_grad_ += ops::conv2dBackwardKernel(cached_input_, delta_out,
-                                              kernel_, kernel_, pad_);
-    return ops::conv2dBackwardInput(delta_out, weight_, pad_);
+    return delta_in;
 }
 
 void
@@ -181,24 +189,32 @@ MaxPoolLayer::outputShape(const Shape &input_shape) const
             input_shape[2] / window_};
 }
 
-Tensor
-MaxPoolLayer::forward(const Tensor &input)
+std::vector<Tensor>
+MaxPoolLayer::forwardSamples(std::vector<Tensor> inputs, bool train)
 {
-    cached_input_shape_ = input.shape();
-    return ops::maxPool(input, window_, &cached_indices_);
+    if (train) {
+        cached_indices_.assign(inputs.size(), Tensor());
+        cached_input_shapes_.clear();
+    }
+    for (size_t s = 0; s < inputs.size(); ++s) {
+        Tensor out = ops::maxPool(inputs[s], window_,
+                                  train ? &cached_indices_[s] : nullptr);
+        if (train)
+            cached_input_shapes_.push_back(inputs[s].shape());
+        inputs[s] = std::move(out);
+    }
+    return inputs;
 }
 
-Tensor
-MaxPoolLayer::infer(const Tensor &input)
+std::vector<Tensor>
+MaxPoolLayer::backwardBatch(std::vector<Tensor> deltas)
 {
-    return ops::maxPool(input, window_, nullptr);
-}
-
-Tensor
-MaxPoolLayer::backward(const Tensor &delta_out)
-{
-    return ops::maxPoolBackward(delta_out, cached_indices_,
-                                cached_input_shape_);
+    checkBackwardGroup(deltas.size(), cached_indices_.size());
+    for (size_t s = 0; s < deltas.size(); ++s) {
+        deltas[s] = ops::maxPoolBackward(deltas[s], cached_indices_[s],
+                                         cached_input_shapes_[s]);
+    }
+    return deltas;
 }
 
 // ---------------------------------------------------------------------
@@ -226,23 +242,28 @@ AvgPoolLayer::outputShape(const Shape &input_shape) const
             input_shape[2] / window_};
 }
 
-Tensor
-AvgPoolLayer::forward(const Tensor &input)
+std::vector<Tensor>
+AvgPoolLayer::forwardSamples(std::vector<Tensor> inputs, bool train)
 {
-    cached_input_shape_ = input.shape();
-    return ops::avgPool(input, window_);
+    if (train)
+        cached_input_shapes_.clear();
+    for (Tensor &x : inputs) {
+        if (train)
+            cached_input_shapes_.push_back(x.shape());
+        x = ops::avgPool(x, window_);
+    }
+    return inputs;
 }
 
-Tensor
-AvgPoolLayer::infer(const Tensor &input)
+std::vector<Tensor>
+AvgPoolLayer::backwardBatch(std::vector<Tensor> deltas)
 {
-    return ops::avgPool(input, window_);
-}
-
-Tensor
-AvgPoolLayer::backward(const Tensor &delta_out)
-{
-    return ops::avgPoolBackward(delta_out, window_, cached_input_shape_);
+    checkBackwardGroup(deltas.size(), cached_input_shapes_.size());
+    for (size_t s = 0; s < deltas.size(); ++s) {
+        deltas[s] =
+            ops::avgPoolBackward(deltas[s], window_, cached_input_shapes_[s]);
+    }
+    return deltas;
 }
 
 // ---------------------------------------------------------------------
@@ -278,30 +299,38 @@ InnerProductLayer::outputShape(const Shape &input_shape) const
     return {out_size_};
 }
 
-Tensor
-InnerProductLayer::forward(const Tensor &input)
+std::vector<Tensor>
+InnerProductLayer::forwardSamples(std::vector<Tensor> inputs, bool train)
 {
-    cached_input_ = input.reshape({in_size_});
-    Tensor out = ops::matVec(weight_, cached_input_);
-    out += bias_;
+    const int64_t n = static_cast<int64_t>(inputs.size());
+    std::vector<Tensor> out(inputs.size());
+    forEachSample(n, [&](int64_t s) {
+        inputs[s] = std::move(inputs[s]).reshape({in_size_});
+        out[s] = ops::matVec(weight_, inputs[s]);
+        out[s] += bias_;
+    });
+    if (train)
+        cached_inputs_ = std::move(inputs);
     return out;
 }
 
-Tensor
-InnerProductLayer::infer(const Tensor &input)
+std::vector<Tensor>
+InnerProductLayer::backwardBatch(std::vector<Tensor> deltas)
 {
-    Tensor out = ops::matVec(weight_, input.reshape({in_size_}));
-    out += bias_;
-    return out;
-}
-
-Tensor
-InnerProductLayer::backward(const Tensor &delta_out)
-{
-    PL_ASSERT(cached_input_.numel() > 0, "backward before forward");
-    weight_grad_ += ops::outer(cached_input_, delta_out);
-    bias_grad_ += delta_out;
-    return ops::matVecT(weight_, delta_out);
+    checkBackwardGroup(deltas.size(), cached_inputs_.size());
+    const int64_t n = static_cast<int64_t>(deltas.size());
+    std::vector<Tensor> weight_grads(deltas.size());
+    std::vector<Tensor> delta_in(deltas.size());
+    forEachSample(n, [&](int64_t s) {
+        weight_grads[s] = ops::outer(cached_inputs_[s], deltas[s]);
+        delta_in[s] = ops::matVecT(weight_, deltas[s]);
+    });
+    // Commit in ascending sample order (see ConvLayer::backwardBatch).
+    for (size_t s = 0; s < deltas.size(); ++s) {
+        weight_grad_ += weight_grads[s];
+        bias_grad_ += deltas[s];
+    }
+    return delta_in;
 }
 
 void
@@ -343,36 +372,31 @@ ReluLayer::outputShape(const Shape &input_shape) const
     return input_shape;
 }
 
-Tensor
-ReluLayer::forward(const Tensor &input)
+std::vector<Tensor>
+ReluLayer::forwardSamples(std::vector<Tensor> inputs, bool train)
 {
     // Dispatched relu_f32 (pure select, bit-identical on every
     // target), so --isa covers the whole forward pass, not just the
     // GEMM-backed layers.
-    Tensor out = input;
-    gemmk::activeKernels().relu_f32(out.data(), out.data(),
-                                    out.numel());
-    cached_output_ = out;
-    return out;
+    for (Tensor &x : inputs)
+        gemmk::activeKernels().relu_f32(x.data(), x.data(), x.numel());
+    if (train)
+        cached_outputs_ = inputs;
+    return inputs;
 }
 
-Tensor
-ReluLayer::infer(const Tensor &input)
+std::vector<Tensor>
+ReluLayer::backwardBatch(std::vector<Tensor> deltas)
 {
-    Tensor out = input;
-    gemmk::activeKernels().relu_f32(out.data(), out.data(),
-                                    out.numel());
-    return out;
-}
-
-Tensor
-ReluLayer::backward(const Tensor &delta_out)
-{
+    checkBackwardGroup(deltas.size(), cached_outputs_.size());
     // δ_in = δ_out ⊙ [d > 0]: the AND-with-mask of paper Fig. 10(a).
-    Tensor grad = delta_out;
-    gemmk::activeKernels().relu_mask_f32(
-        grad.data(), cached_output_.data(), grad.numel());
-    return grad;
+    for (size_t s = 0; s < deltas.size(); ++s) {
+        PL_ASSERT(deltas[s].numel() == cached_outputs_[s].numel(),
+                  "relu backward size mismatch");
+        gemmk::activeKernels().relu_mask_f32(
+            deltas[s].data(), cached_outputs_[s].data(), deltas[s].numel());
+    }
+    return deltas;
 }
 
 // ---------------------------------------------------------------------
@@ -385,35 +409,31 @@ SigmoidLayer::outputShape(const Shape &input_shape) const
     return input_shape;
 }
 
-Tensor
-SigmoidLayer::forward(const Tensor &input)
+std::vector<Tensor>
+SigmoidLayer::forwardSamples(std::vector<Tensor> inputs, bool train)
 {
-    Tensor out = input;
-    for (int64_t i = 0; i < out.numel(); ++i)
-        out.at(i) = 1.0f / (1.0f + std::exp(-out.at(i)));
-    cached_output_ = out;
-    return out;
-}
-
-Tensor
-SigmoidLayer::infer(const Tensor &input)
-{
-    Tensor out = input;
-    for (int64_t i = 0; i < out.numel(); ++i)
-        out.at(i) = 1.0f / (1.0f + std::exp(-out.at(i)));
-    return out;
-}
-
-Tensor
-SigmoidLayer::backward(const Tensor &delta_out)
-{
-    // f'(u) = f(u)(1 - f(u)), computable from the cached output.
-    Tensor grad = delta_out;
-    for (int64_t i = 0; i < grad.numel(); ++i) {
-        const float s = cached_output_.at(i);
-        grad.at(i) *= s * (1.0f - s);
+    for (Tensor &x : inputs) {
+        for (int64_t i = 0; i < x.numel(); ++i)
+            x.at(i) = 1.0f / (1.0f + std::exp(-x.at(i)));
     }
-    return grad;
+    if (train)
+        cached_outputs_ = inputs;
+    return inputs;
+}
+
+std::vector<Tensor>
+SigmoidLayer::backwardBatch(std::vector<Tensor> deltas)
+{
+    checkBackwardGroup(deltas.size(), cached_outputs_.size());
+    // f'(u) = f(u)(1 - f(u)), computable from the cached output.
+    for (size_t s = 0; s < deltas.size(); ++s) {
+        Tensor &grad = deltas[s];
+        for (int64_t i = 0; i < grad.numel(); ++i) {
+            const float y = cached_outputs_[s].at(i);
+            grad.at(i) *= y * (1.0f - y);
+        }
+    }
+    return deltas;
 }
 
 // ---------------------------------------------------------------------
@@ -426,23 +446,27 @@ FlattenLayer::outputShape(const Shape &input_shape) const
     return {shapeNumel(input_shape)};
 }
 
-Tensor
-FlattenLayer::forward(const Tensor &input)
+std::vector<Tensor>
+FlattenLayer::forwardSamples(std::vector<Tensor> inputs, bool train)
 {
-    cached_input_shape_ = input.shape();
-    return input.reshape({input.numel()});
+    if (train)
+        cached_input_shapes_.clear();
+    for (Tensor &x : inputs) {
+        if (train)
+            cached_input_shapes_.push_back(x.shape());
+        const int64_t numel = x.numel();
+        x = std::move(x).reshape({numel});
+    }
+    return inputs;
 }
 
-Tensor
-FlattenLayer::infer(const Tensor &input)
+std::vector<Tensor>
+FlattenLayer::backwardBatch(std::vector<Tensor> deltas)
 {
-    return input.reshape({input.numel()});
-}
-
-Tensor
-FlattenLayer::backward(const Tensor &delta_out)
-{
-    return delta_out.reshape(cached_input_shape_);
+    checkBackwardGroup(deltas.size(), cached_input_shapes_.size());
+    for (size_t s = 0; s < deltas.size(); ++s)
+        deltas[s] = std::move(deltas[s]).reshape(cached_input_shapes_[s]);
+    return deltas;
 }
 
 } // namespace nn

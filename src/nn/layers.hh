@@ -43,9 +43,7 @@ class ConvLayer : public Layer
     LayerKind kind() const override { return LayerKind::Conv; }
     std::string describe() const override;
     Shape outputShape(const Shape &input_shape) const override;
-    Tensor forward(const Tensor &input) override;
-    Tensor infer(const Tensor &input) override;
-    Tensor backward(const Tensor &delta_out) override;
+    std::vector<Tensor> backwardBatch(std::vector<Tensor> deltas) override;
     void zeroGrads() override;
     void applyUpdate(float lr, int64_t batch_size) override;
     void setMomentum(float momentum) override;
@@ -57,6 +55,10 @@ class ConvLayer : public Layer
     int64_t stride() const { return stride_; }
     int64_t pad() const { return pad_; }
 
+  protected:
+    std::vector<Tensor> forwardSamples(std::vector<Tensor> inputs,
+                                       bool train) override;
+
   private:
     int64_t in_channels_, out_channels_, kernel_, stride_, pad_;
     Tensor weight_; //!< (Cout, Cin, K, K)
@@ -66,7 +68,7 @@ class ConvLayer : public Layer
     Tensor weight_vel_; //!< momentum velocity (empty until enabled)
     Tensor bias_vel_;
     float momentum_ = 0.0f;
-    Tensor cached_input_;
+    std::vector<Tensor> cached_inputs_; //!< per sample
 };
 
 /** Max-pooling layer with window == stride (paper §2.1). */
@@ -78,16 +80,18 @@ class MaxPoolLayer : public Layer
     LayerKind kind() const override { return LayerKind::MaxPool; }
     std::string describe() const override;
     Shape outputShape(const Shape &input_shape) const override;
-    Tensor forward(const Tensor &input) override;
-    Tensor infer(const Tensor &input) override;
-    Tensor backward(const Tensor &delta_out) override;
+    std::vector<Tensor> backwardBatch(std::vector<Tensor> deltas) override;
 
     int64_t window() const { return window_; }
 
+  protected:
+    std::vector<Tensor> forwardSamples(std::vector<Tensor> inputs,
+                                       bool train) override;
+
   private:
     int64_t window_;
-    Tensor cached_indices_;
-    Shape cached_input_shape_;
+    std::vector<Tensor> cached_indices_; //!< per sample
+    std::vector<Shape> cached_input_shapes_;
 };
 
 /** Average-pooling layer, paper Eq. (2). */
@@ -99,15 +103,17 @@ class AvgPoolLayer : public Layer
     LayerKind kind() const override { return LayerKind::AvgPool; }
     std::string describe() const override;
     Shape outputShape(const Shape &input_shape) const override;
-    Tensor forward(const Tensor &input) override;
-    Tensor infer(const Tensor &input) override;
-    Tensor backward(const Tensor &delta_out) override;
+    std::vector<Tensor> backwardBatch(std::vector<Tensor> deltas) override;
 
     int64_t window() const { return window_; }
 
+  protected:
+    std::vector<Tensor> forwardSamples(std::vector<Tensor> inputs,
+                                       bool train) override;
+
   private:
     int64_t window_;
-    Shape cached_input_shape_;
+    std::vector<Shape> cached_input_shapes_; //!< per sample
 };
 
 /**
@@ -122,9 +128,7 @@ class InnerProductLayer : public Layer
     LayerKind kind() const override { return LayerKind::InnerProduct; }
     std::string describe() const override;
     Shape outputShape(const Shape &input_shape) const override;
-    Tensor forward(const Tensor &input) override;
-    Tensor infer(const Tensor &input) override;
-    Tensor backward(const Tensor &delta_out) override;
+    std::vector<Tensor> backwardBatch(std::vector<Tensor> deltas) override;
     void zeroGrads() override;
     void applyUpdate(float lr, int64_t batch_size) override;
     void setMomentum(float momentum) override;
@@ -132,6 +136,10 @@ class InnerProductLayer : public Layer
 
     int64_t inSize() const { return in_size_; }
     int64_t outSize() const { return out_size_; }
+
+  protected:
+    std::vector<Tensor> forwardSamples(std::vector<Tensor> inputs,
+                                       bool train) override;
 
   private:
     int64_t in_size_, out_size_;
@@ -142,7 +150,7 @@ class InnerProductLayer : public Layer
     Tensor weight_vel_; //!< momentum velocity (empty until enabled)
     Tensor bias_vel_;
     float momentum_ = 0.0f;
-    Tensor cached_input_;
+    std::vector<Tensor> cached_inputs_; //!< per sample, flattened
 };
 
 /**
@@ -156,12 +164,14 @@ class ReluLayer : public Layer
     LayerKind kind() const override { return LayerKind::ReLU; }
     std::string describe() const override { return "relu"; }
     Shape outputShape(const Shape &input_shape) const override;
-    Tensor forward(const Tensor &input) override;
-    Tensor infer(const Tensor &input) override;
-    Tensor backward(const Tensor &delta_out) override;
+    std::vector<Tensor> backwardBatch(std::vector<Tensor> deltas) override;
+
+  protected:
+    std::vector<Tensor> forwardSamples(std::vector<Tensor> inputs,
+                                       bool train) override;
 
   private:
-    Tensor cached_output_;
+    std::vector<Tensor> cached_outputs_; //!< per sample
 };
 
 /** Sigmoid activation 1/(1+e^-x) (paper §2.1 lists it as an option). */
@@ -171,12 +181,14 @@ class SigmoidLayer : public Layer
     LayerKind kind() const override { return LayerKind::Sigmoid; }
     std::string describe() const override { return "sigmoid"; }
     Shape outputShape(const Shape &input_shape) const override;
-    Tensor forward(const Tensor &input) override;
-    Tensor infer(const Tensor &input) override;
-    Tensor backward(const Tensor &delta_out) override;
+    std::vector<Tensor> backwardBatch(std::vector<Tensor> deltas) override;
+
+  protected:
+    std::vector<Tensor> forwardSamples(std::vector<Tensor> inputs,
+                                       bool train) override;
 
   private:
-    Tensor cached_output_;
+    std::vector<Tensor> cached_outputs_; //!< per sample
 };
 
 /** Reshape a (C, H, W) cube into a vector for inner-product layers. */
@@ -186,12 +198,14 @@ class FlattenLayer : public Layer
     LayerKind kind() const override { return LayerKind::Flatten; }
     std::string describe() const override { return "flatten"; }
     Shape outputShape(const Shape &input_shape) const override;
-    Tensor forward(const Tensor &input) override;
-    Tensor infer(const Tensor &input) override;
-    Tensor backward(const Tensor &delta_out) override;
+    std::vector<Tensor> backwardBatch(std::vector<Tensor> deltas) override;
+
+  protected:
+    std::vector<Tensor> forwardSamples(std::vector<Tensor> inputs,
+                                       bool train) override;
 
   private:
-    Shape cached_input_shape_;
+    std::vector<Shape> cached_input_shapes_; //!< per sample
 };
 
 } // namespace nn

@@ -1,11 +1,35 @@
 #include "nn/network.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/parallel.hh"
 
 namespace pipelayer {
 namespace nn {
+
+namespace {
+
+/**
+ * Call @p fn(first, group) for consecutive groups of threadCount()
+ * samples of @p samples: each layer call runs a group in parallel,
+ * while activations stay O(threads), not O(batch).
+ */
+template <typename Fn>
+void
+forEachGroup(const std::vector<Tensor> &samples, Fn fn)
+{
+    const size_t size = static_cast<size_t>(threadCount());
+    for (size_t first = 0; first < samples.size(); first += size) {
+        const auto begin = samples.begin() + static_cast<ptrdiff_t>(first);
+        const auto end = samples.begin() + static_cast<ptrdiff_t>(
+            std::min(samples.size(), first + size));
+        fn(first, std::vector<Tensor>(begin, end));
+    }
+}
+
+} // namespace
 
 Network::Network(std::string name, Shape input_shape, LossKind loss)
     : name_(std::move(name)), input_shape_(std::move(input_shape)),
@@ -24,34 +48,51 @@ Network::add(LayerPtr layer)
     shapes_.push_back(std::move(out));
 }
 
+std::vector<Tensor>
+Network::forwardBatch(std::vector<Tensor> inputs)
+{
+    for (const Tensor &x : inputs) {
+        PL_ASSERT(x.shape() == input_shape_,
+                  "network %s expects input %s, got %s", name_.c_str(),
+                  shapeToString(input_shape_).c_str(),
+                  shapeToString(x.shape()).c_str());
+    }
+    for (auto &layer : layers_)
+        inputs = layer->forwardBatch(std::move(inputs));
+    return inputs;
+}
+
+void
+Network::backwardBatch(std::vector<Tensor> deltas)
+{
+    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
+        deltas = (*it)->backwardBatch(std::move(deltas));
+}
+
 Tensor
 Network::forward(const Tensor &input)
 {
-    PL_ASSERT(input.shape() == input_shape_,
-              "network %s expects input %s, got %s", name_.c_str(),
-              shapeToString(input_shape_).c_str(),
-              shapeToString(input.shape()).c_str());
-    Tensor x = input;
-    for (auto &layer : layers_)
-        x = layer->forward(x);
-    return x;
+    return std::move(forwardBatch(std::vector<Tensor>(1, input))[0]);
 }
 
 Tensor
 Network::infer(const Tensor &input) const
 {
-    Tensor x = input;
+    return std::move(inferBatch(std::vector<Tensor>(1, input))[0]);
+}
+
+std::vector<Tensor>
+Network::inferBatch(std::vector<Tensor> inputs) const
+{
     for (const auto &layer : layers_)
-        x = const_cast<Layer &>(*layer).infer(x);
-    return x;
+        inputs = const_cast<Layer &>(*layer).inferBatch(std::move(inputs));
+    return inputs;
 }
 
 void
 Network::backward(const Tensor &delta_out)
 {
-    Tensor delta = delta_out;
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-        delta = (*it)->backward(delta);
+    backwardBatch(std::vector<Tensor>(1, delta_out));
 }
 
 void
@@ -83,20 +124,29 @@ Network::trainBatch(const std::vector<Tensor> &inputs,
               "bad batch in trainBatch");
     zeroGrads();
     double total_loss = 0.0;
-    for (size_t i = 0; i < inputs.size(); ++i) {
-        const Tensor out = forward(inputs[i]);
-        LossResult lr_result = loss_ == LossKind::Softmax
-            ? softmaxLoss(out, labels[i])
-            : l2Loss(out, [&] {
-                  Tensor t(out.shape());
-                  t.at(labels[i]) = 1.0f;
-                  return t;
-              }());
-        total_loss += lr_result.loss;
-        backward(lr_result.delta);
-    }
+    forEachGroup(inputs, [&](size_t first, std::vector<Tensor> group) {
+        const std::vector<Tensor> outs = forwardBatch(std::move(group));
+        std::vector<Tensor> deltas;
+        deltas.reserve(outs.size());
+        for (size_t s = 0; s < outs.size(); ++s) {
+            LossResult result = sampleLoss(outs[s], labels[first + s]);
+            total_loss += result.loss;
+            deltas.push_back(std::move(result.delta));
+        }
+        backwardBatch(std::move(deltas));
+    });
     applyUpdate(lr, static_cast<int64_t>(inputs.size()));
     return total_loss / static_cast<double>(inputs.size());
+}
+
+LossResult
+Network::sampleLoss(const Tensor &out, int64_t label) const
+{
+    if (loss_ == LossKind::Softmax)
+        return softmaxLoss(out, label);
+    Tensor target(out.shape());
+    target.at(label) = 1.0f;
+    return l2Loss(out, target);
 }
 
 int64_t
@@ -113,10 +163,13 @@ Network::accuracy(const std::vector<Tensor> &inputs,
     if (inputs.empty())
         return 0.0;
     int64_t correct = 0;
-    for (size_t i = 0; i < inputs.size(); ++i) {
-        if (predict(inputs[i]) == labels[i])
-            ++correct;
-    }
+    forEachGroup(inputs, [&](size_t first, std::vector<Tensor> group) {
+        const std::vector<Tensor> outs = inferBatch(std::move(group));
+        for (size_t s = 0; s < outs.size(); ++s) {
+            if (outs[s].argmax() == labels[first + s])
+                ++correct;
+        }
+    });
     return static_cast<double>(correct) /
            static_cast<double>(inputs.size());
 }

@@ -36,6 +36,12 @@ namespace nn {
  *   }
  *   net.applyUpdate(lr, batch_size);
  * @endcode
+ * trainBatch() computes exactly this, bit for bit, but walks the
+ * batch in groups of threadCount() samples: forward of the whole
+ * group through every layer, the losses in sample order, then
+ * backward of the group.  Each layer runs a group's samples in
+ * parallel and adds their gradients in ascending sample order (see
+ * Layer), so the result matches the loop above at every thread count.
  */
 class Network
 {
@@ -75,7 +81,7 @@ class Network
     /** Predicted class of one input. */
     int64_t predict(const Tensor &input) const;
 
-    /** Fraction of samples classified correctly. */
+    /** Fraction of samples classified correctly (infers in groups). */
     double accuracy(const std::vector<Tensor> &inputs,
                     const std::vector<int64_t> &labels) const;
 
@@ -100,6 +106,18 @@ class Network
     std::string describe() const;
 
   private:
+    /** Forward a group of samples through every layer (training). */
+    std::vector<Tensor> forwardBatch(std::vector<Tensor> inputs);
+
+    /** Inference over a group of samples. */
+    std::vector<Tensor> inferBatch(std::vector<Tensor> inputs) const;
+
+    /** Backward a group's output errors through every layer. */
+    void backwardBatch(std::vector<Tensor> deltas);
+
+    /** The network's loss of one output against @p label. */
+    LossResult sampleLoss(const Tensor &out, int64_t label) const;
+
     std::string name_;
     Shape input_shape_;
     LossKind loss_;

@@ -30,14 +30,16 @@ convExtent(int64_t in, int64_t k, int64_t stride, int64_t pad)
  * the naive convolution loop, so a GEMM over these rows reduces in
  * exactly the naive sequence.  Padding positions are materialised as
  * 0.0f (adding w * ±0.0f to an accumulator is exact; see gemm.hh).
+ * Pads are signed per axis: a negative pad crops that many rows or
+ * columns off each edge, which the bounds checks below handle.
  *
  * @p col must hold ho*wo*c*kh*kw floats, allocated by the caller
  * (arena scratch on the calling thread — chunk bodies only write).
  */
 void
 im2colPack(const float *in_p, int64_t c, int64_t h, int64_t w,
-           int64_t kh, int64_t kw, int64_t stride, int64_t pad,
-           int64_t ho, int64_t wo, float *col)
+           int64_t kh, int64_t kw, int64_t stride, int64_t pad_y,
+           int64_t pad_x, int64_t ho, int64_t wo, float *col)
 {
     PL_PROF_SCOPE("tensor.im2col");
     const int64_t patch = c * kh * kw;
@@ -49,14 +51,14 @@ im2colPack(const float *in_p, int64_t c, int64_t h, int64_t w,
             for (int64_t cc = 0; cc < c; ++cc) {
                 const float *in_c = in_p + cc * h * w;
                 for (int64_t ky = 0; ky < kh; ++ky) {
-                    const int64_t iy = oy * stride + ky - pad;
+                    const int64_t iy = oy * stride + ky - pad_y;
                     if (iy < 0 || iy >= h) {
                         std::fill(dst, dst + kw, 0.0f);
                         dst += kw;
                         continue;
                     }
                     const float *in_row = in_c + iy * w;
-                    const int64_t x0 = ox * stride - pad;
+                    const int64_t x0 = ox * stride - pad_x;
                     if (x0 >= 0 && x0 + kw <= w) {
                         std::memcpy(dst, in_row + x0,
                                     static_cast<size_t>(kw) *
@@ -73,6 +75,30 @@ im2colPack(const float *in_p, int64_t c, int64_t h, int64_t w,
             }
         }
     });
+}
+
+/**
+ * im2col + GEMM convolution of a (c, h, w) cube with a (co, c, kh, kw)
+ * kernel at signed per-axis pads, writing (co, ho, wo) to @p out.
+ * Each output pixel is a dot product of one kernel row against one
+ * packed window row, reduced in the same (ci, ky, kx) order as the
+ * direct loops — bit-identical, but with branch-free contiguous inner
+ * loops (the arena panel is reused scratch, so steady state
+ * allocates nothing).
+ */
+void
+convPacked(const float *in_p, int64_t c, int64_t h, int64_t w,
+           const float *kernel, int64_t co, int64_t kh, int64_t kw,
+           const float *bias, int64_t stride, int64_t pad_y,
+           int64_t pad_x, int64_t ho, int64_t wo, float *out)
+{
+    const int64_t patch = c * kh * kw;
+    const int64_t rows = ho * wo;
+    arena::ScopedBuf<float> col(static_cast<size_t>(rows * patch));
+    im2colPack(in_p, c, h, w, kh, kw, stride, pad_y, pad_x, ho, wo,
+               col.data());
+    gemm::gemmNT(co, rows, patch, kernel, patch, col.data(), patch, bias,
+                 out, rows);
 }
 
 } // namespace
@@ -99,20 +125,9 @@ conv2d(const Tensor &input, const Tensor &kernel, const Tensor &bias,
     const int64_t ho = convExtent(h, kh, stride, pad);
     const int64_t wo = convExtent(w, kw, stride, pad);
     Tensor out({co, ho, wo});
-
-    // im2col + GEMM: each output pixel is a dot product of one kernel
-    // row against one packed window row, reduced in the same (ci, ky,
-    // kx) order as the direct loops — bit-identical, but with branch-
-    // free contiguous inner loops (the arena panel is reused scratch,
-    // so steady state allocates nothing).
-    const int64_t patch = ci * kh * kw;
-    const int64_t rows = ho * wo;
-    arena::ScopedBuf<float> col(static_cast<size_t>(rows * patch));
-    im2colPack(input.data(), ci, h, w, kh, kw, stride, pad, ho, wo,
-               col.data());
-    gemm::gemmNT(co, rows, patch, kernel.data(), patch, col.data(),
-                 patch, has_bias ? bias.data() : nullptr, out.data(),
-                 rows);
+    convPacked(input.data(), ci, h, w, kernel.data(), co, kh, kw,
+               has_bias ? bias.data() : nullptr, stride, pad, pad, ho, wo,
+               out.data());
     return out;
 }
 
@@ -154,29 +169,42 @@ Tensor
 conv2dBackwardInput(const Tensor &delta_out, const Tensor &kernel,
                     int64_t pad)
 {
-    // Note: the "full" convolution below re-enters conv2d (now the
-    // im2col+GEMM path), so one backward-input call also counts one
-    // tensor.conv2d_fwd and one tensor.im2col site hit.
+    // conv2(δ, rot180(K), 'full') cropped by the forward pad is one
+    // convolution of δ with rot180(K) at pad K - 1 - pad per axis:
+    // the same windows and taps, so the same sums bit for bit as the
+    // full form (ops::reference), computing only the kept outputs.
+    // When pad > K - 1 the pad is negative and crops δ's border.
     PL_PROF_SCOPE("tensor.conv2d_bwd_input");
     PL_ASSERT(delta_out.rank() == 3 && kernel.rank() == 4,
               "bad ranks in conv2dBackwardInput");
+    const int64_t co = kernel.dim(0), ci = kernel.dim(1);
     const int64_t kh = kernel.dim(2), kw = kernel.dim(3);
-    // "full" convolution: pad the output error by (K - 1), convolve
-    // with the rotated kernel, then crop the forward padding back off.
-    const Tensor padded = zeroPad(delta_out, kh - 1);
-    const Tensor rot = rot180(kernel);
-    Tensor full = conv2d(padded, rot, Tensor(), /*stride=*/1, /*pad=*/0);
+    PL_ASSERT(delta_out.dim(0) == co,
+              "channel mismatch: delta %lld vs kernel %lld",
+              (long long)delta_out.dim(0), (long long)co);
     PL_ASSERT(kh == kw || pad == 0,
               "asymmetric kernels with padding unsupported");
-    if (pad == 0)
-        return full;
-    const int64_t ci = full.dim(0);
-    const int64_t h = full.dim(1) - 2 * pad, w = full.dim(2) - 2 * pad;
+
+    // rot180(K) as (Ci, Co, Kh, Kw): channel roles swap, taps reverse.
+    const float *k = kernel.data();
+    arena::ScopedBuf<float> rot(static_cast<size_t>(kernel.numel()));
+    for (int64_t oc = 0; oc < co; ++oc)
+        for (int64_t icn = 0; icn < ci; ++icn)
+            for (int64_t ky = 0; ky < kh; ++ky)
+                for (int64_t kx = 0; kx < kw; ++kx)
+                    rot[static_cast<size_t>(
+                        ((icn * co + oc) * kh + (kh - 1 - ky)) * kw +
+                        (kw - 1 - kx))] =
+                        k[((oc * ci + icn) * kh + ky) * kw + kx];
+
+    const int64_t pad_y = kh - 1 - pad, pad_x = kw - 1 - pad;
+    const int64_t ho = delta_out.dim(1), wo = delta_out.dim(2);
+    const int64_t h = convExtent(ho, kh, 1, pad_y);
+    const int64_t w = convExtent(wo, kw, 1, pad_x);
     Tensor out({ci, h, w});
-    for (int64_t c = 0; c < ci; ++c)
-        for (int64_t y = 0; y < h; ++y)
-            for (int64_t x = 0; x < w; ++x)
-                out(c, y, x) = full(c, y + pad, x + pad);
+    convPacked(delta_out.data(), co, ho, wo, rot.data(), ci, kh, kw,
+               /*bias=*/nullptr, /*stride=*/1, pad_y, pad_x, h, w,
+               out.data());
     return out;
 }
 
@@ -204,10 +232,23 @@ conv2dBackwardKernel(const Tensor &input, const Tensor &delta_out,
     const int64_t rows = ho * wo;
     arena::ScopedBuf<float> col(static_cast<size_t>(rows * patch));
     im2colPack(input.data(), ci, input.dim(1), input.dim(2), kh, kw,
-               /*stride=*/1, pad, ho, wo, col.data());
+               /*stride=*/1, pad, pad, ho, wo, col.data());
     gemm::gemmNN(co, patch, rows, delta_out.data(), rows, col.data(),
                  patch, grad.data(), patch);
     return grad;
+}
+
+void
+accumulateChannelSums(const float *x, int64_t channels, int64_t plane,
+                      float *acc)
+{
+    for (int64_t c = 0; c < channels; ++c) {
+        const float *xc = x + c * plane;
+        double sum = 0.0;
+        for (int64_t i = 0; i < plane; ++i)
+            sum += xc[i];
+        acc[c] += static_cast<float>(sum);
+    }
 }
 
 Tensor
@@ -353,7 +394,7 @@ im2col(const Tensor &input, int64_t kh, int64_t kw, int64_t stride,
     const int64_t ho = convExtent(h, kh, stride, pad);
     const int64_t wo = convExtent(w, kw, stride, pad);
     Tensor out({ho * wo, c * kh * kw});
-    im2colPack(input.data(), c, h, w, kh, kw, stride, pad, ho, wo,
+    im2colPack(input.data(), c, h, w, kh, kw, stride, pad, pad, ho, wo,
                out.data());
     return out;
 }

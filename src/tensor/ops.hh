@@ -31,9 +31,11 @@ Tensor conv2d(const Tensor &input, const Tensor &kernel,
 
 /**
  * Error backward through a convolution (paper Fig. 10c / Fig. 11):
- * delta_l = conv2(delta_{l+1}, rot180(K), 'full'), i.e. a convolution
- * of the zero-padded output error with the spatially-rotated,
- * channel-transposed kernel.  Stride-1 convolutions only.
+ * delta_l = conv2(delta_{l+1}, rot180(K), 'full') cropped by the
+ * forward padding, computed as one convolution of the output error
+ * with the spatially-rotated, channel-transposed kernel at pad
+ * K - 1 - pad (negative when pad > K - 1: the error's border is
+ * cropped).  Stride-1 convolutions only.
  *
  * @param delta_out (Cout, Ho, Wo) error at the layer output.
  * @param kernel    (Cout, Cin, Kh, Kw) forward kernel.
@@ -55,6 +57,14 @@ Tensor conv2dBackwardInput(const Tensor &delta_out, const Tensor &kernel,
  */
 Tensor conv2dBackwardKernel(const Tensor &input, const Tensor &delta_out,
                             int64_t kh, int64_t kw, int64_t pad = 0);
+
+/**
+ * Convolution bias gradient (paper §4.4.1) on raw (C, plane) data:
+ * acc[c] += float(Σ_i x[c * plane + i]), each channel's sum taken in
+ * double in ascending i.
+ */
+void accumulateChannelSums(const float *x, int64_t channels,
+                           int64_t plane, float *acc);
 
 /** Rotate a kernel 180 degrees spatially and swap in/out channels. */
 Tensor rot180(const Tensor &kernel);

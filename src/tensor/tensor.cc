@@ -183,13 +183,24 @@ Tensor::fill(float value)
 }
 
 Tensor
-Tensor::reshape(Shape new_shape) const
+Tensor::reshape(Shape new_shape) const &
 {
     PL_ASSERT(shapeNumel(new_shape) == numel(),
               "reshape %s -> %s changes element count",
               shapeToString(shape_).c_str(),
               shapeToString(new_shape).c_str());
     return Tensor(std::move(new_shape), data_);
+}
+
+Tensor
+Tensor::reshape(Shape new_shape) &&
+{
+    PL_ASSERT(shapeNumel(new_shape) == numel(),
+              "reshape %s -> %s changes element count",
+              shapeToString(shape_).c_str(),
+              shapeToString(new_shape).c_str());
+    shape_ = std::move(new_shape);
+    return std::move(*this);
 }
 
 Tensor &

@@ -87,10 +87,12 @@ class Tensor
     void fill(float value);
 
     /**
-     * Return a tensor with the same data but a new shape.
+     * Return a tensor with the same data but a new shape; a temporary
+     * hands over its data instead of copying it.
      * @pre numel of @p new_shape equals numel().
      */
-    Tensor reshape(Shape new_shape) const;
+    Tensor reshape(Shape new_shape) const &;
+    Tensor reshape(Shape new_shape) &&;
 
     /** Elementwise in-place operations. */
     Tensor &operator+=(const Tensor &other);

@@ -155,13 +155,19 @@ TEST(GemmFuzz, Conv2dBackwardKernelMatchesReferenceBitExact)
 TEST(GemmFuzz, Conv2dBackwardInputMatchesReferenceBitExact)
 {
     Rng rng(0xB1Du);
+    int64_t negative_pad_cases = 0;
     atThreadCounts([&](int64_t threads) {
         for (int iter = 0; iter < 16; ++iter) {
             const int64_t ci = 1 + static_cast<int64_t>(rng.uniformInt(3));
             const int64_t co = 1 + static_cast<int64_t>(rng.uniformInt(4));
-            // Square kernels: padding requires kh == kw.
-            const int64_t k = 1 + static_cast<int64_t>(rng.uniformInt(3));
-            const int64_t pad = static_cast<int64_t>(rng.uniformInt(2));
+            // Square kernels: padding requires kh == kw.  pad runs up
+            // to K, so the direct convolution's pad K - 1 - pad is
+            // negative (crops the error's border) in some cases.
+            const int64_t k = 1 + static_cast<int64_t>(rng.uniformInt(5));
+            const int64_t pad = static_cast<int64_t>(
+                rng.uniformInt(static_cast<uint64_t>(k + 1)));
+            if (pad > k - 1)
+                ++negative_pad_cases;
             const int64_t h = k + static_cast<int64_t>(rng.uniformInt(8));
             const int64_t w = k + static_cast<int64_t>(rng.uniformInt(8));
             const int64_t ho = h + 2 * pad - k + 1;
@@ -178,6 +184,7 @@ TEST(GemmFuzz, Conv2dBackwardInputMatchesReferenceBitExact)
             expectBitIdentical(fast, ref, "conv2dBackwardInput");
         }
     });
+    EXPECT_GT(negative_pad_cases, 0);
 }
 
 TEST(GemmFuzz, MatVecFamilyMatchesReferenceBitExact)

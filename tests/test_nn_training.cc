@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <string>
 
+#include "common/isa.hh"
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "nn/layers.hh"
 #include "nn/network.hh"
@@ -153,6 +158,125 @@ TEST(Training, BatchAveragingMatchesManualUpdate)
     auto params_b = net_b.layer(1).parameters();
     for (int64_t i = 0; i < params_a[0]->numel(); ++i)
         EXPECT_NEAR(params_a[0]->at(i), params_b[0]->at(i), 1e-6);
+}
+
+/**
+ * Every layer kind over 2x8x8 inputs.  The second convolution pads by
+ * 2 > K - 1, so its backward-input convolution crops (negative pad).
+ */
+Network
+everyKindNet(Rng &rng)
+{
+    Network net("every-kind", {2, 8, 8});
+    net.add(std::make_unique<ConvLayer>(2, 4, 3, 1, 1, rng));
+    net.add(std::make_unique<ReluLayer>());
+    net.add(std::make_unique<MaxPoolLayer>(2)); // 4x4x4
+    net.add(std::make_unique<ConvLayer>(4, 6, 3, 1, 2, rng));
+    net.add(std::make_unique<SigmoidLayer>()); // 6x6x6
+    net.add(std::make_unique<AvgPoolLayer>(2));
+    net.add(std::make_unique<FlattenLayer>());
+    net.add(std::make_unique<InnerProductLayer>(6 * 3 * 3, 5, rng));
+    return net;
+}
+
+/** The training protocol of network.hh, one sample at a time. */
+double
+perSampleStep(Network &net, const std::vector<Tensor> &inputs,
+              const std::vector<int64_t> &labels, float lr)
+{
+    net.zeroGrads();
+    double total = 0.0;
+    for (size_t i = 0; i < inputs.size(); ++i) {
+        const LossResult loss = softmaxLoss(net.forward(inputs[i]),
+                                            labels[i]);
+        total += loss.loss;
+        net.backward(loss.delta);
+    }
+    net.applyUpdate(lr, static_cast<int64_t>(inputs.size()));
+    return total / static_cast<double>(inputs.size());
+}
+
+TEST(Training, TrainBatchMatchesPerSampleProtocolBitExact)
+{
+    // trainBatch runs groups of threadCount() samples in parallel and
+    // commits their gradients in ascending sample order; the result
+    // must be the per-sample loop's bit for bit.  Batches of 5 and 10
+    // leave a partial last group at 2 and 4 threads.
+    const int64_t saved = threadCount();
+    for (const isa::Target target : isa::availableTargets()) {
+        ::setenv("PL_ISA", isa::name(target), /*overwrite=*/1);
+        isa::reresolveFromEnv();
+        for (const float momentum : {0.0f, 0.9f}) {
+            for (const size_t batch : {1, 5, 10}) {
+                for (const int64_t threads : {1, 2, 4}) {
+                    SCOPED_TRACE(std::string("isa=") + isa::name(target) +
+                                 " momentum=" + std::to_string(momentum) +
+                                 " batch=" + std::to_string(batch) +
+                                 " threads=" + std::to_string(threads));
+                    setThreadCount(threads);
+                    Rng rng_a(21), rng_b(21), data(22);
+                    Network a = everyKindNet(rng_a);
+                    Network b = everyKindNet(rng_b);
+                    a.setMomentum(momentum);
+                    b.setMomentum(momentum);
+                    for (int step = 0; step < 3; ++step) {
+                        std::vector<Tensor> inputs;
+                        std::vector<int64_t> labels;
+                        for (size_t i = 0; i < batch; ++i) {
+                            inputs.push_back(
+                                Tensor::randn({2, 8, 8}, data));
+                            labels.push_back(static_cast<int64_t>(
+                                data.uniformInt(5)));
+                        }
+                        const double batched =
+                            a.trainBatch(inputs, labels, 0.1f);
+                        const double serial =
+                            perSampleStep(b, inputs, labels, 0.1f);
+                        ASSERT_EQ(0, std::memcmp(&batched, &serial,
+                                                 sizeof(double)))
+                            << "step " << step << ": " << batched
+                            << " vs " << serial;
+                    }
+                    for (size_t l = 0; l < a.numLayers(); ++l) {
+                        const auto pa = a.layer(l).parameters();
+                        const auto pb = b.layer(l).parameters();
+                        ASSERT_EQ(pa.size(), pb.size());
+                        for (size_t k = 0; k < pa.size(); ++k) {
+                            ASSERT_EQ(0, std::memcmp(
+                                             pa[k]->data(), pb[k]->data(),
+                                             static_cast<size_t>(
+                                                 pa[k]->numel()) *
+                                                 sizeof(float)))
+                                << "layer " << l << " parameter " << k;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    ::unsetenv("PL_ISA");
+    isa::reresolveFromEnv();
+    setThreadCount(saved);
+}
+
+TEST(Network, AccuracyMatchesPerSamplePredictions)
+{
+    // accuracy() infers in groups; predict() one sample at a time.
+    Rng rng(31), data(32);
+    Network net = everyKindNet(rng);
+    std::vector<Tensor> inputs;
+    std::vector<int64_t> labels;
+    for (int i = 0; i < 7; ++i) {
+        inputs.push_back(Tensor::randn({2, 8, 8}, data));
+        labels.push_back(net.predict(inputs.back()));
+    }
+    labels[3] = (labels[3] + 1) % 5;
+    const int64_t saved = threadCount();
+    for (const int64_t threads : {1, 2, 4}) {
+        setThreadCount(threads);
+        EXPECT_DOUBLE_EQ(net.accuracy(inputs, labels), 6.0 / 7.0);
+    }
+    setThreadCount(saved);
 }
 
 TEST(Training, DeterministicGivenSeeds)

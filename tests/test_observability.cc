@@ -94,6 +94,43 @@ TEST(Json, NumbersSurviveRoundTripExactly)
     }
 }
 
+TEST(Json, AsIntAcceptsExactIntegers)
+{
+    EXPECT_EQ(json::parse("0").asInt(), 0);
+    EXPECT_EQ(json::parse("-0").asInt(), 0);
+    EXPECT_EQ(json::parse("7").asInt(), 7);
+    EXPECT_EQ(json::parse("-42").asInt(), -42);
+    EXPECT_EQ(json::parse("3.0").asInt(), 3);
+    EXPECT_EQ(json::parse("1e3").asInt(), 1000);
+    EXPECT_EQ(json::parse("9007199254740993").asInt(),
+              int64_t{9007199254740992}); // nearest double, exact
+    EXPECT_EQ(json::parse("-9223372036854775808").asInt(), INT64_MIN);
+}
+
+TEST(Json, AsIntRejectsFractionsAndOutOfRangeNamingTheValue)
+{
+    const auto message = [](const char *text) -> std::string {
+        try {
+            (void)json::parse(text).asInt();
+        } catch (const ConfigError &err) {
+            return err.what();
+        }
+        return "no ConfigError";
+    };
+    // {"arrival_cycle": 2.6} used to be served at cycle 3.
+    EXPECT_EQ(message("2.6"), "JSON number 2.6 is not an integer");
+    EXPECT_EQ(message("-0.5"), "JSON number -0.5 is not an integer");
+    // 1e30 used to reach callers as INT64_MIN.
+    EXPECT_EQ(message("1e30"),
+              "JSON number 1e+30 is outside the int64 range");
+    EXPECT_EQ(message("-1e30"),
+              "JSON number -1e+30 is outside the int64 range");
+    // 2^63 is one past INT64_MAX.
+    EXPECT_EQ(message("9223372036854775808"),
+              "JSON number 9.223372036854776e+18 is outside the int64 "
+              "range");
+}
+
 TEST(Json, ParserRejectsMalformedInput)
 {
     EXPECT_THROW(json::parse(""), json::ParseError);

@@ -61,6 +61,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "common/logging.hh"
 
 namespace {
 
@@ -989,7 +990,15 @@ main(int argc, char **argv)
         return 1;
     }
     bool ok = true;
-    for (int i = 1; i < argc; ++i)
-        ok = lintFile(argv[i]) && ok;
+    for (int i = 1; i < argc; ++i) {
+        try {
+            ok = lintFile(argv[i]) && ok;
+        } catch (const pipelayer::ConfigError &err) {
+            // A field read as an integer holds a fraction or is out
+            // of range (json::Value::asInt).
+            std::cerr << argv[i] << ": " << err.what() << "\n";
+            ok = false;
+        }
+    }
     return ok ? 0 : 1;
 }

@@ -104,7 +104,12 @@ traceFromStdin(std::istream &in)
                 "stdin line " + std::to_string(lineno) +
                 ": expected {\"arrival_cycle\": <cycle>, ...}");
         }
-        cycles.push_back(cycle->asInt());
+        try {
+            cycles.push_back(cycle->asInt());
+        } catch (const ConfigError &err) {
+            throw ConfigError("stdin line " + std::to_string(lineno) +
+                              ": arrival_cycle: " + err.what());
+        }
     }
     return sim::ArrivalTrace::replay(std::move(cycles));
 }
