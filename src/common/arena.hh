@@ -2,7 +2,7 @@
  * @file
  * Thread-local workspace arena for hot-path scratch memory.
  *
- * The compute kernels (im2col panels, padded/rotated kernel copies,
+ * The compute kernels (convolution tap panels, rotated kernel copies,
  * crossbar row-weight buffers) need short-lived scratch whose size is
  * known at call entry and whose lifetime nests like a call stack.
  * Allocating it from the heap puts malloc/free on every per-cycle

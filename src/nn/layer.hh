@@ -46,7 +46,7 @@ const char *layerKindName(LayerKind kind);
  * paper's batched weight update in §4.4).
  *
  * Each layer has one implementation, over a group of samples
- * (forwardSamples/backwardBatch).  The samples of a group are
+ * (forwardSamples/backwardSamples).  The samples of a group are
  * independent, so the heavy layers run them in parallel — one pool
  * job per call, with the kernels inside running inline — and then
  * add the per-sample parameter gradients in ascending sample order:
@@ -88,8 +88,21 @@ class Layer
      * sample s of the last forwardBatch().  Returns the errors at the
      * inputs and accumulates parameter gradients.
      */
-    virtual std::vector<Tensor>
-    backwardBatch(std::vector<Tensor> deltas) = 0;
+    std::vector<Tensor> backwardBatch(std::vector<Tensor> deltas)
+    {
+        return backwardSamples(std::move(deltas), /*input_grad=*/true);
+    }
+
+    /**
+     * backwardBatch() for a network's first layer, whose input errors
+     * nobody reads (Caffe's propagate_down = false): accumulates the
+     * same parameter gradients, and the layers with weights skip
+     * computing the input errors.
+     */
+    void backwardParams(std::vector<Tensor> deltas)
+    {
+        backwardSamples(std::move(deltas), /*input_grad=*/false);
+    }
 
     /** Forward pass for one sample; caches state for backward(). */
     Tensor forward(const Tensor &input);
@@ -135,6 +148,14 @@ class Layer
     /** The forward implementation; caches per-sample state iff train. */
     virtual std::vector<Tensor> forwardSamples(std::vector<Tensor> inputs,
                                                bool train) = 0;
+
+    /**
+     * The backward implementation.  With @p input_grad false the
+     * caller discards the result, so a layer may return empty tensors
+     * instead of computing the input errors.
+     */
+    virtual std::vector<Tensor> backwardSamples(std::vector<Tensor> deltas,
+                                                bool input_grad) = 0;
 
     /** Assert a backward group matches the cached forward group. */
     static void checkBackwardGroup(size_t deltas, size_t cached);

@@ -108,7 +108,7 @@ ConvLayer::forwardSamples(std::vector<Tensor> inputs, bool train)
 }
 
 std::vector<Tensor>
-ConvLayer::backwardBatch(std::vector<Tensor> deltas)
+ConvLayer::backwardSamples(std::vector<Tensor> deltas, bool input_grad)
 {
     PL_ASSERT(stride_ == 1, "conv backward implemented for stride 1 only");
     checkBackwardGroup(deltas.size(), cached_inputs_.size());
@@ -118,7 +118,8 @@ ConvLayer::backwardBatch(std::vector<Tensor> deltas)
     forEachSample(n, [&](int64_t s) {
         kernel_grads[s] = ops::conv2dBackwardKernel(
             cached_inputs_[s], deltas[s], kernel_, kernel_, pad_);
-        delta_in[s] = ops::conv2dBackwardInput(deltas[s], weight_, pad_);
+        if (input_grad)
+            delta_in[s] = ops::conv2dBackwardInput(deltas[s], weight_, pad_);
     });
     // Commit in ascending sample order: the float-add sequence of one
     // backward() per sample.  ∂J/∂b_c = Σ_{u,v} δ[c, u, v] (§4.4.1).
@@ -207,7 +208,7 @@ MaxPoolLayer::forwardSamples(std::vector<Tensor> inputs, bool train)
 }
 
 std::vector<Tensor>
-MaxPoolLayer::backwardBatch(std::vector<Tensor> deltas)
+MaxPoolLayer::backwardSamples(std::vector<Tensor> deltas, bool /*input_grad*/)
 {
     checkBackwardGroup(deltas.size(), cached_indices_.size());
     for (size_t s = 0; s < deltas.size(); ++s) {
@@ -256,7 +257,7 @@ AvgPoolLayer::forwardSamples(std::vector<Tensor> inputs, bool train)
 }
 
 std::vector<Tensor>
-AvgPoolLayer::backwardBatch(std::vector<Tensor> deltas)
+AvgPoolLayer::backwardSamples(std::vector<Tensor> deltas, bool /*input_grad*/)
 {
     checkBackwardGroup(deltas.size(), cached_input_shapes_.size());
     for (size_t s = 0; s < deltas.size(); ++s) {
@@ -315,7 +316,7 @@ InnerProductLayer::forwardSamples(std::vector<Tensor> inputs, bool train)
 }
 
 std::vector<Tensor>
-InnerProductLayer::backwardBatch(std::vector<Tensor> deltas)
+InnerProductLayer::backwardSamples(std::vector<Tensor> deltas, bool input_grad)
 {
     checkBackwardGroup(deltas.size(), cached_inputs_.size());
     const int64_t n = static_cast<int64_t>(deltas.size());
@@ -323,9 +324,10 @@ InnerProductLayer::backwardBatch(std::vector<Tensor> deltas)
     std::vector<Tensor> delta_in(deltas.size());
     forEachSample(n, [&](int64_t s) {
         weight_grads[s] = ops::outer(cached_inputs_[s], deltas[s]);
-        delta_in[s] = ops::matVecT(weight_, deltas[s]);
+        if (input_grad)
+            delta_in[s] = ops::matVecT(weight_, deltas[s]);
     });
-    // Commit in ascending sample order (see ConvLayer::backwardBatch).
+    // Commit in ascending sample order (see ConvLayer::backwardSamples).
     for (size_t s = 0; s < deltas.size(); ++s) {
         weight_grad_ += weight_grads[s];
         bias_grad_ += deltas[s];
@@ -386,7 +388,7 @@ ReluLayer::forwardSamples(std::vector<Tensor> inputs, bool train)
 }
 
 std::vector<Tensor>
-ReluLayer::backwardBatch(std::vector<Tensor> deltas)
+ReluLayer::backwardSamples(std::vector<Tensor> deltas, bool /*input_grad*/)
 {
     checkBackwardGroup(deltas.size(), cached_outputs_.size());
     // δ_in = δ_out ⊙ [d > 0]: the AND-with-mask of paper Fig. 10(a).
@@ -413,8 +415,9 @@ std::vector<Tensor>
 SigmoidLayer::forwardSamples(std::vector<Tensor> inputs, bool train)
 {
     for (Tensor &x : inputs) {
+        float *p = x.data();
         for (int64_t i = 0; i < x.numel(); ++i)
-            x.at(i) = 1.0f / (1.0f + std::exp(-x.at(i)));
+            p[i] = 1.0f / (1.0f + std::exp(-p[i]));
     }
     if (train)
         cached_outputs_ = inputs;
@@ -422,16 +425,17 @@ SigmoidLayer::forwardSamples(std::vector<Tensor> inputs, bool train)
 }
 
 std::vector<Tensor>
-SigmoidLayer::backwardBatch(std::vector<Tensor> deltas)
+SigmoidLayer::backwardSamples(std::vector<Tensor> deltas, bool /*input_grad*/)
 {
     checkBackwardGroup(deltas.size(), cached_outputs_.size());
     // f'(u) = f(u)(1 - f(u)), computable from the cached output.
     for (size_t s = 0; s < deltas.size(); ++s) {
-        Tensor &grad = deltas[s];
-        for (int64_t i = 0; i < grad.numel(); ++i) {
-            const float y = cached_outputs_[s].at(i);
-            grad.at(i) *= y * (1.0f - y);
-        }
+        PL_ASSERT(deltas[s].numel() == cached_outputs_[s].numel(),
+                  "sigmoid backward size mismatch");
+        float *grad = deltas[s].data();
+        const float *y = cached_outputs_[s].data();
+        for (int64_t i = 0; i < deltas[s].numel(); ++i)
+            grad[i] *= y[i] * (1.0f - y[i]);
     }
     return deltas;
 }
@@ -461,7 +465,7 @@ FlattenLayer::forwardSamples(std::vector<Tensor> inputs, bool train)
 }
 
 std::vector<Tensor>
-FlattenLayer::backwardBatch(std::vector<Tensor> deltas)
+FlattenLayer::backwardSamples(std::vector<Tensor> deltas, bool /*input_grad*/)
 {
     checkBackwardGroup(deltas.size(), cached_input_shapes_.size());
     for (size_t s = 0; s < deltas.size(); ++s)

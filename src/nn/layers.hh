@@ -43,7 +43,6 @@ class ConvLayer : public Layer
     LayerKind kind() const override { return LayerKind::Conv; }
     std::string describe() const override;
     Shape outputShape(const Shape &input_shape) const override;
-    std::vector<Tensor> backwardBatch(std::vector<Tensor> deltas) override;
     void zeroGrads() override;
     void applyUpdate(float lr, int64_t batch_size) override;
     void setMomentum(float momentum) override;
@@ -58,6 +57,8 @@ class ConvLayer : public Layer
   protected:
     std::vector<Tensor> forwardSamples(std::vector<Tensor> inputs,
                                        bool train) override;
+    std::vector<Tensor> backwardSamples(std::vector<Tensor> deltas,
+                                        bool input_grad) override;
 
   private:
     int64_t in_channels_, out_channels_, kernel_, stride_, pad_;
@@ -80,13 +81,14 @@ class MaxPoolLayer : public Layer
     LayerKind kind() const override { return LayerKind::MaxPool; }
     std::string describe() const override;
     Shape outputShape(const Shape &input_shape) const override;
-    std::vector<Tensor> backwardBatch(std::vector<Tensor> deltas) override;
 
     int64_t window() const { return window_; }
 
   protected:
     std::vector<Tensor> forwardSamples(std::vector<Tensor> inputs,
                                        bool train) override;
+    std::vector<Tensor> backwardSamples(std::vector<Tensor> deltas,
+                                        bool input_grad) override;
 
   private:
     int64_t window_;
@@ -103,13 +105,14 @@ class AvgPoolLayer : public Layer
     LayerKind kind() const override { return LayerKind::AvgPool; }
     std::string describe() const override;
     Shape outputShape(const Shape &input_shape) const override;
-    std::vector<Tensor> backwardBatch(std::vector<Tensor> deltas) override;
 
     int64_t window() const { return window_; }
 
   protected:
     std::vector<Tensor> forwardSamples(std::vector<Tensor> inputs,
                                        bool train) override;
+    std::vector<Tensor> backwardSamples(std::vector<Tensor> deltas,
+                                        bool input_grad) override;
 
   private:
     int64_t window_;
@@ -128,7 +131,6 @@ class InnerProductLayer : public Layer
     LayerKind kind() const override { return LayerKind::InnerProduct; }
     std::string describe() const override;
     Shape outputShape(const Shape &input_shape) const override;
-    std::vector<Tensor> backwardBatch(std::vector<Tensor> deltas) override;
     void zeroGrads() override;
     void applyUpdate(float lr, int64_t batch_size) override;
     void setMomentum(float momentum) override;
@@ -140,6 +142,8 @@ class InnerProductLayer : public Layer
   protected:
     std::vector<Tensor> forwardSamples(std::vector<Tensor> inputs,
                                        bool train) override;
+    std::vector<Tensor> backwardSamples(std::vector<Tensor> deltas,
+                                        bool input_grad) override;
 
   private:
     int64_t in_size_, out_size_;
@@ -164,11 +168,12 @@ class ReluLayer : public Layer
     LayerKind kind() const override { return LayerKind::ReLU; }
     std::string describe() const override { return "relu"; }
     Shape outputShape(const Shape &input_shape) const override;
-    std::vector<Tensor> backwardBatch(std::vector<Tensor> deltas) override;
 
   protected:
     std::vector<Tensor> forwardSamples(std::vector<Tensor> inputs,
                                        bool train) override;
+    std::vector<Tensor> backwardSamples(std::vector<Tensor> deltas,
+                                        bool input_grad) override;
 
   private:
     std::vector<Tensor> cached_outputs_; //!< per sample
@@ -181,11 +186,12 @@ class SigmoidLayer : public Layer
     LayerKind kind() const override { return LayerKind::Sigmoid; }
     std::string describe() const override { return "sigmoid"; }
     Shape outputShape(const Shape &input_shape) const override;
-    std::vector<Tensor> backwardBatch(std::vector<Tensor> deltas) override;
 
   protected:
     std::vector<Tensor> forwardSamples(std::vector<Tensor> inputs,
                                        bool train) override;
+    std::vector<Tensor> backwardSamples(std::vector<Tensor> deltas,
+                                        bool input_grad) override;
 
   private:
     std::vector<Tensor> cached_outputs_; //!< per sample
@@ -198,11 +204,12 @@ class FlattenLayer : public Layer
     LayerKind kind() const override { return LayerKind::Flatten; }
     std::string describe() const override { return "flatten"; }
     Shape outputShape(const Shape &input_shape) const override;
-    std::vector<Tensor> backwardBatch(std::vector<Tensor> deltas) override;
 
   protected:
     std::vector<Tensor> forwardSamples(std::vector<Tensor> inputs,
                                        bool train) override;
+    std::vector<Tensor> backwardSamples(std::vector<Tensor> deltas,
+                                        bool input_grad) override;
 
   private:
     std::vector<Shape> cached_input_shapes_; //!< per sample

@@ -65,8 +65,12 @@ Network::forwardBatch(std::vector<Tensor> inputs)
 void
 Network::backwardBatch(std::vector<Tensor> deltas)
 {
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-        deltas = (*it)->backwardBatch(std::move(deltas));
+    if (layers_.empty())
+        return;
+    for (size_t l = layers_.size() - 1; l > 0; --l)
+        deltas = layers_[l]->backwardBatch(std::move(deltas));
+    // Nothing reads the error at the network input.
+    layers_.front()->backwardParams(std::move(deltas));
 }
 
 Tensor

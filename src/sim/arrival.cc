@@ -188,6 +188,34 @@ requireNumber(const json::Value &v, const char *key)
     return member->asNumber();
 }
 
+/**
+ * The integer member @p key of @p v: a ConfigError names the key and
+ * the value when it has a fraction or lies outside int64.
+ */
+int64_t
+requireInt(const json::Value &v, const char *key)
+{
+    requireNumber(v, key);
+    try {
+        return v.find(key)->asInt();
+    } catch (const ConfigError &e) {
+        throw ConfigError(std::string("ArrivalTrace: '") + key +
+                          "': " + e.what());
+    }
+}
+
+/** A non-negative integer 'seed' member of @p v. */
+uint64_t
+requireSeed(const json::Value &v)
+{
+    const int64_t seed = requireInt(v, "seed");
+    if (seed < 0) {
+        throw ConfigError("ArrivalTrace: 'seed' must be non-negative, got " +
+                          std::to_string(seed));
+    }
+    return static_cast<uint64_t>(seed);
+}
+
 } // namespace
 
 json::Value
@@ -253,25 +281,19 @@ ArrivalTrace::fromJson(const json::Value &v)
         return replay(std::move(out));
     }
 
-    const int64_t n =
-        static_cast<int64_t>(requireNumber(v, "num_requests"));
-    if (name == "fixed") {
-        return fixed(n, static_cast<int64_t>(
-                            requireNumber(v, "interval")));
-    }
-    const uint64_t seed =
-        static_cast<uint64_t>(requireNumber(v, "seed"));
+    const int64_t n = requireInt(v, "num_requests");
+    if (name == "fixed")
+        return fixed(n, requireInt(v, "interval"));
+    const uint64_t seed = requireSeed(v);
     if (name == "poisson")
         return poisson(n, requireNumber(v, "rate_per_cycle"), seed);
     if (name == "uniform") {
-        return uniform(
-            n, static_cast<int64_t>(requireNumber(v, "min_gap")),
-            static_cast<int64_t>(requireNumber(v, "max_gap")), seed);
+        return uniform(n, requireInt(v, "min_gap"),
+                       requireInt(v, "max_gap"), seed);
     }
     if (name == "bursty") {
-        return bursty(
-            n, static_cast<int64_t>(requireNumber(v, "burst_size")),
-            static_cast<int64_t>(requireNumber(v, "mean_gap")), seed);
+        return bursty(n, requireInt(v, "burst_size"),
+                      requireInt(v, "mean_gap"), seed);
     }
     throw ConfigError("ArrivalTrace: unknown kind '" + name + "'");
 }

@@ -516,8 +516,9 @@ ServingSim::run(const ArrivalTrace &trace,
         job.num_images = report.admitted_count;
         job.arrivals = ArrivalTrace::replay(entry_cycles);
         report.execution = simulator_.run(job);
-        arch::PipelineScheduler scheduler(
-            simulator_.mapping(job.config()), job.schedule());
+        // The scheduler keeps a reference: the mapping must outlive it.
+        const arch::NetworkMapping mapping = simulator_.mapping(job.config());
+        arch::PipelineScheduler scheduler(mapping, job.schedule());
         scheduler.setTrace(recorder);
         scheduler.setMetrics(sampler);
         report.sched = scheduler.run();

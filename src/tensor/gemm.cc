@@ -10,6 +10,19 @@
 namespace pipelayer {
 namespace gemm {
 
+namespace {
+
+/** Columns per gemmNN work item: one AVX-512 block of the kernel. */
+constexpr int64_t kColTile = 16;
+
+/**
+ * Multiply-adds a parallel_for chunk should carry at least, so small
+ * products run inline instead of paying a pool dispatch per chunk.
+ */
+constexpr int64_t kMinChunkMacs = 8192;
+
+} // namespace
+
 void
 gemmNT(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
        const float *b, int64_t ldb, const float *bias, float *c,
@@ -17,10 +30,9 @@ gemmNT(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
 {
     // Parallel over columns of C: a chunk owns rows j0..j1 of B and
     // therefore a disjoint column stripe of every output row.  Each
-    // output is one lane-based dot product; the eight accumulator
+    // output is one lane-based dot product; its eight accumulator
     // lanes (vector registers on the SIMD targets, eight independent
-    // add chains on scalar) hide FP-add latency, so no cross-output
-    // register blocking is needed.
+    // add chains on scalar) hide FP-add latency.
     const gemmk::Kernels &kern = gemmk::activeKernels();
     parallel_for(0, n, /*grain=*/16, [&](int64_t j0, int64_t j1) {
         for (int64_t i = 0; i < m; ++i) {
@@ -35,32 +47,38 @@ gemmNT(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
 
 void
 gemmNN(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
-       const float *b, int64_t ldb, float *c, int64_t ldc)
+       const float *b, int64_t ldb, const float *bias, float *c,
+       int64_t ldc)
 {
-    // Pack Bᵀ once (arena scratch, allocated on the calling thread —
-    // chunk bodies only write) so every output's reduction operand
-    // streams contiguously; each C element is then the same 8-lane
-    // dot product as gemmNT, dispatched through the active target.
-    // The pack walks p ascending per chunk so the reads of B are the
-    // contiguous side and only the writes stride.
+    arena::ScopedBuf<int64_t> brow(static_cast<size_t>(k));
+    for (int64_t p = 0; p < k; ++p)
+        brow[static_cast<size_t>(p)] = p * ldb;
+    gemmNNRows(m, n, k, a, lda, b, brow.data(), bias, c, ldc);
+}
+
+void
+gemmNNRows(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
+           const float *b, const int64_t *brow, const float *bias,
+           float *c, int64_t ldc)
+{
+    // B's columns are contiguous across j, so the column lane kernel
+    // reads them in place: one work item is (row i, a tile of 16
+    // columns), whose outputs share every B load.  Items are
+    // numbered tile-major, so a chunk's consecutive items reuse one
+    // tile of B across rows of A while it is in cache.  Items own
+    // disjoint outputs; each output's reduction is the kernel's
+    // alone, so chunking never changes a bit.
     const gemmk::Kernels &kern = gemmk::activeKernels();
-    arena::ScopedBuf<float> bt(static_cast<size_t>(n * k));
-    float *btp = bt.data();
-    parallel_for(0, n, /*grain=*/64, [&](int64_t j0, int64_t j1) {
-        for (int64_t p = 0; p < k; ++p) {
-            const float *bp = b + p * ldb;
-            for (int64_t j = j0; j < j1; ++j)
-                btp[j * k + p] = bp[j];
-        }
-    });
-    // Parallel over columns of C, exactly like gemmNT: a chunk owns a
-    // disjoint column stripe of every output row.
-    parallel_for(0, n, /*grain=*/16, [&](int64_t j0, int64_t j1) {
-        for (int64_t i = 0; i < m; ++i) {
-            const float *ai = a + i * lda;
-            float *ci = c + i * ldc;
-            for (int64_t j = j0; j < j1; ++j)
-                ci[j] = kern.dot_lanes(ai, btp + j * k, k, 0.0);
+    const int64_t tiles = (n + kColTile - 1) / kColTile;
+    const int64_t item_macs = kColTile * std::max<int64_t>(1, k);
+    const int64_t grain = std::max<int64_t>(1, kMinChunkMacs / item_macs);
+    parallel_for(0, m * tiles, grain, [&](int64_t p0, int64_t p1) {
+        for (int64_t p = p0; p < p1; ++p) {
+            const int64_t i = p % m;
+            const int64_t j0 = (p / m) * kColTile;
+            const double bi = bias ? static_cast<double>(bias[i]) : 0.0;
+            kern.dot_lanes_cols(c + i * ldc + j0, a + i * lda, b + j0, brow,
+                                k, std::min(kColTile, n - j0), bi);
         }
     });
 }

@@ -11,6 +11,10 @@
  * the low/high product halves widened to two 4-wide double
  * accumulators holding lanes 0..3 and 4..7.  Per lane the adds happen
  * in ascending t, so the bits match the scalar chains.
+ *
+ * dot_lanes_cols blocks 4 outputs: one 4-wide float multiply per
+ * reduction element, widened into the 4-wide double accumulator of
+ * that element's lane — 8 accumulators in registers.
  */
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -43,6 +47,67 @@ dotLanesAvx2(const float *a, const float *b, int64_t k, double bias)
     _mm256_store_pd(lanes + 4, acc47);
     dotLanesTail(lanes, a, b, t, k);
     return reduceLanes(lanes, bias);
+}
+
+/** Reduction element t into contract lane @p acc of 4 outputs. */
+inline __attribute__((always_inline)) void
+colStep(__m256d &acc, float at, const float *bt)
+{
+    acc = _mm256_add_pd(
+        acc, _mm256_cvtps_pd(_mm_mul_ps(_mm_set1_ps(at), _mm_loadu_ps(bt))));
+}
+
+void
+dotLanesColsAvx2(float *c, const float *a, const float *b,
+                 const int64_t *brow, int64_t k, int64_t n, double bias)
+{
+    const __m256d bv = _mm256_set1_pd(bias);
+    int64_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+        const float *bj = b + j;
+        __m256d acc[kLanes];
+        for (int l = 0; l < kLanes; ++l)
+            acc[l] = _mm256_setzero_pd();
+        int64_t t = 0;
+        for (; t + kLanes <= k; t += kLanes) {
+            const int64_t *rt = brow + t;
+            colStep(acc[0], a[t + 0], bj + rt[0]);
+            colStep(acc[1], a[t + 1], bj + rt[1]);
+            colStep(acc[2], a[t + 2], bj + rt[2]);
+            colStep(acc[3], a[t + 3], bj + rt[3]);
+            colStep(acc[4], a[t + 4], bj + rt[4]);
+            colStep(acc[5], a[t + 5], bj + rt[5]);
+            colStep(acc[6], a[t + 6], bj + rt[6]);
+            colStep(acc[7], a[t + 7], bj + rt[7]);
+        }
+        // k mod 8 leftover elements go to lanes 0.. in order; constant
+        // lane indices keep the accumulators in registers.
+        const int64_t rest = k - t;
+        const int64_t *rt = brow + t;
+        if (rest > 0)
+            colStep(acc[0], a[t + 0], bj + rt[0]);
+        if (rest > 1)
+            colStep(acc[1], a[t + 1], bj + rt[1]);
+        if (rest > 2)
+            colStep(acc[2], a[t + 2], bj + rt[2]);
+        if (rest > 3)
+            colStep(acc[3], a[t + 3], bj + rt[3]);
+        if (rest > 4)
+            colStep(acc[4], a[t + 4], bj + rt[4]);
+        if (rest > 5)
+            colStep(acc[5], a[t + 5], bj + rt[5]);
+        if (rest > 6)
+            colStep(acc[6], a[t + 6], bj + rt[6]);
+        // The pinned lane tree, element-wise over the 4 outputs.
+        const __m256d l01 = _mm256_add_pd(acc[0], acc[1]);
+        const __m256d l23 = _mm256_add_pd(acc[2], acc[3]);
+        const __m256d l45 = _mm256_add_pd(acc[4], acc[5]);
+        const __m256d l67 = _mm256_add_pd(acc[6], acc[7]);
+        const __m256d sum = _mm256_add_pd(_mm256_add_pd(l01, l23),
+                                          _mm256_add_pd(l45, l67));
+        _mm_storeu_ps(c + j, _mm256_cvtpd_ps(_mm256_add_pd(bv, sum)));
+    }
+    dotLanesColsTail(c, a, b, brow, k, j, n, bias);
 }
 
 void
@@ -130,8 +195,8 @@ const Kernels &
 avx2Kernels()
 {
     static const Kernels table = {
-        dotLanesAvx2, axpyF32Avx2,  scaleF32Avx2,
-        axpyI64Avx2,  reluF32Avx2, reluMaskF32Avx2,
+        dotLanesAvx2, dotLanesColsAvx2, axpyF32Avx2, scaleF32Avx2,
+        axpyI64Avx2,  reluF32Avx2,      reluMaskF32Avx2,
     };
     return table;
 }

@@ -9,6 +9,17 @@
  * block of 8 floats is exactly one VMULPS (256-bit) + VCVTPS2PD +
  * VADDPD; two blocks per iteration keep lane order (t, then t+8)
  * ascending.  No FMA anywhere — products must round to float first.
+ *
+ * dot_lanes_cols blocks 16 outputs: one 512-bit float multiply per
+ * reduction element covers all 16 columns, and its halves widen into
+ * two double vectors per contract lane — 16 accumulators in registers.
+ *
+ * Every intrinsic here takes its pass-through operand from
+ * _mm512_setzero_* (the maskz forms with an all-ones mask where the
+ * plain form would use _mm512_undefined_*): GCC 12 reports the
+ * self-initialised _mm512_undefined_* helpers as -Wmaybe-uninitialized
+ * once inlined, which breaks -Werror builds.  The instructions are the
+ * same; only the (never used) pass-through value differs.
  */
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -22,6 +33,15 @@ namespace gemmk {
 
 namespace {
 
+constexpr __mmask8 kAll8 = 0xFF;
+
+/** Exact float→double widening of 8 floats. */
+inline __m512d
+widen(__m256 x)
+{
+    return _mm512_maskz_cvtps_pd(kAll8, x);
+}
+
 float
 dotLanesAvx512(const float *a, const float *b, int64_t k, double bias)
 {
@@ -32,18 +52,96 @@ dotLanesAvx512(const float *a, const float *b, int64_t k, double bias)
                                         _mm256_loadu_ps(b + t));
         const __m256 p1 = _mm256_mul_ps(_mm256_loadu_ps(a + t + 8),
                                         _mm256_loadu_ps(b + t + 8));
-        acc = _mm512_add_pd(acc, _mm512_cvtps_pd(p0));
-        acc = _mm512_add_pd(acc, _mm512_cvtps_pd(p1));
+        acc = _mm512_add_pd(acc, widen(p0));
+        acc = _mm512_add_pd(acc, widen(p1));
     }
     for (; t + 8 <= k; t += 8) {
         const __m256 prod = _mm256_mul_ps(_mm256_loadu_ps(a + t),
                                           _mm256_loadu_ps(b + t));
-        acc = _mm512_add_pd(acc, _mm512_cvtps_pd(prod));
+        acc = _mm512_add_pd(acc, widen(prod));
     }
     alignas(64) double lanes[kLanes];
     _mm512_store_pd(lanes, acc);
     dotLanesTail(lanes, a, b, t, k);
     return reduceLanes(lanes, bias);
+}
+
+/**
+ * Reduction element t into contract lane l of 16 outputs: lo holds
+ * lane l of outputs 0..7, hi of outputs 8..15.  Masked-off columns
+ * load +0.0f; their sums are never stored.
+ */
+inline __attribute__((always_inline)) void
+colStep(__m512d &lo, __m512d &hi, float at, const float *bt,
+        __mmask16 mask)
+{
+    const __m512 prod =
+        _mm512_mul_ps(_mm512_set1_ps(at), _mm512_maskz_loadu_ps(mask, bt));
+    lo = _mm512_add_pd(lo, widen(_mm512_extractf32x8_ps(prod, 0)));
+    hi = _mm512_add_pd(hi, widen(_mm512_extractf32x8_ps(prod, 1)));
+}
+
+/** The pinned lane tree, element-wise over 8 outputs, bias last. */
+inline __m256
+colTree(const __m512d acc[kLanes], __m512d bias)
+{
+    const __m512d l01 = _mm512_add_pd(acc[0], acc[1]);
+    const __m512d l23 = _mm512_add_pd(acc[2], acc[3]);
+    const __m512d l45 = _mm512_add_pd(acc[4], acc[5]);
+    const __m512d l67 = _mm512_add_pd(acc[6], acc[7]);
+    const __m512d sum = _mm512_add_pd(_mm512_add_pd(l01, l23),
+                                      _mm512_add_pd(l45, l67));
+    return _mm512_maskz_cvtpd_ps(kAll8, _mm512_add_pd(bias, sum));
+}
+
+void
+dotLanesColsAvx512(float *c, const float *a, const float *b,
+                   const int64_t *brow, int64_t k, int64_t n, double bias)
+{
+    const __m512d bv = _mm512_set1_pd(bias);
+    for (int64_t j = 0; j < n; j += 16) {
+        const int64_t cols = n - j < 16 ? n - j : 16;
+        const __mmask16 mask =
+            static_cast<__mmask16>((1u << cols) - 1u);
+        const float *bj = b + j;
+        __m512d lo[kLanes], hi[kLanes];
+        for (int l = 0; l < kLanes; ++l)
+            lo[l] = hi[l] = _mm512_setzero_pd();
+        int64_t t = 0;
+        for (; t + kLanes <= k; t += kLanes) {
+            const int64_t *rt = brow + t;
+            colStep(lo[0], hi[0], a[t + 0], bj + rt[0], mask);
+            colStep(lo[1], hi[1], a[t + 1], bj + rt[1], mask);
+            colStep(lo[2], hi[2], a[t + 2], bj + rt[2], mask);
+            colStep(lo[3], hi[3], a[t + 3], bj + rt[3], mask);
+            colStep(lo[4], hi[4], a[t + 4], bj + rt[4], mask);
+            colStep(lo[5], hi[5], a[t + 5], bj + rt[5], mask);
+            colStep(lo[6], hi[6], a[t + 6], bj + rt[6], mask);
+            colStep(lo[7], hi[7], a[t + 7], bj + rt[7], mask);
+        }
+        // k mod 8 leftover elements go to lanes 0.. in order; constant
+        // lane indices keep the accumulators in registers.
+        const int64_t rest = k - t;
+        const int64_t *rt = brow + t;
+        if (rest > 0)
+            colStep(lo[0], hi[0], a[t + 0], bj + rt[0], mask);
+        if (rest > 1)
+            colStep(lo[1], hi[1], a[t + 1], bj + rt[1], mask);
+        if (rest > 2)
+            colStep(lo[2], hi[2], a[t + 2], bj + rt[2], mask);
+        if (rest > 3)
+            colStep(lo[3], hi[3], a[t + 3], bj + rt[3], mask);
+        if (rest > 4)
+            colStep(lo[4], hi[4], a[t + 4], bj + rt[4], mask);
+        if (rest > 5)
+            colStep(lo[5], hi[5], a[t + 5], bj + rt[5], mask);
+        if (rest > 6)
+            colStep(lo[6], hi[6], a[t + 6], bj + rt[6], mask);
+        const __m512 out = _mm512_insertf32x8(
+            _mm512_insertf32x8(_mm512_setzero_ps(), colTree(lo, bv), 0),
+            colTree(hi, bv), 1);
+        _mm512_mask_storeu_ps(c + j, mask, out);
+    }
 }
 
 void
@@ -83,7 +181,7 @@ axpyI64Avx512(int64_t *out, const int64_t *cells, int64_t w, int64_t n)
     int64_t c = 0;
     for (; c + 8 <= n; c += 8) {
         const __m512i cv = _mm512_loadu_si512(cells + c);
-        const __m512i prod = _mm512_mul_epu32(cv, wv);
+        const __m512i prod = _mm512_maskz_mul_epu32(kAll8, cv, wv);
         _mm512_storeu_si512(
             out + c,
             _mm512_add_epi64(_mm512_loadu_si512(out + c), prod));
@@ -132,8 +230,9 @@ const Kernels &
 avx512Kernels()
 {
     static const Kernels table = {
-        dotLanesAvx512, axpyF32Avx512,  scaleF32Avx512,
-        axpyI64Avx512,  reluF32Avx512, reluMaskF32Avx512,
+        dotLanesAvx512, dotLanesColsAvx512, axpyF32Avx512,
+        scaleF32Avx512, axpyI64Avx512,      reluF32Avx512,
+        reluMaskF32Avx512,
     };
     return table;
 }

@@ -4,7 +4,7 @@
  *
  * Each instruction-set backend (one translation unit per target,
  * compiled with that target's flags) fills a Kernels table with the
- * same five primitives; gemm.cc and reram::CrossbarArray pick a table
+ * same primitives; gemm.cc and reram::CrossbarArray pick a table
  * at runtime via isa::active().  Every backend implements the *same*
  * lane-based reduction contract (DESIGN.md §7), so switching targets
  * changes wall clock only, never a single output bit:
@@ -14,6 +14,16 @@
  *    then widened), each lane sees its elements in ascending t, and
  *    the lanes are reduced in the pinned tree order
  *    ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)), bias added last.
+ *  - dot_lanes_cols: the column form of dot_lanes over a block of n
+ *    *independent outputs* j whose operands are the columns of B,
+ *    each row t of B a contiguous run starting at b + brow[t]:
+ *    output j reduces a[t] * b[brow[t] + j] with exactly dot_lanes's
+ *    recipe (lane t mod 8, ascending, pinned tree, bias last, one
+ *    rounding to float).  SIMD backends keep the eight lanes of a
+ *    whole block of outputs in registers — output j in vector
+ *    element j — and run the tree element-wise, so a vector only
+ *    ever combines values of one output with values of the same
+ *    output.
  *  - axpy_f32 / scale_f32: element-wise maps over *independent*
  *    outputs — a float multiply then a float add per element, which
  *    vectorises without reordering any per-output reduction.
@@ -27,8 +37,9 @@
  *    contract: 0 <= w < 2^32 and 0 <= cells[c] < 2^32 (the crossbar's
  *    data_bits/cell_bits <= 32 guarantee both), products < 2^63.
  *
- * The scalar tail and the tree reduction are shared inline helpers so
- * no backend can drift from the contract by re-implementing them.
+ * The scalar tails (dotLanesTail, dotLanesColsTail) and the tree
+ * reduction are shared inline helpers so no backend can drift from
+ * the contract by re-implementing them.
  */
 
 #ifndef PIPELAYER_TENSOR_GEMM_KERNELS_HH_
@@ -50,6 +61,14 @@ struct Kernels
     /** Lane-based dot product: float(bias + tree(lanes)). */
     float (*dot_lanes)(const float *a, const float *b, int64_t k,
                        double bias);
+    /**
+     * Column lane kernel: c[j] = float(bias + tree(lanes_j)) with
+     * lanes_j[t mod 8] += double(a[t] * b[brow[t] + j]), t in [0,k)
+     * ascending, for j in [0,n).  Reads only b[brow[t] + j], j < n.
+     */
+    void (*dot_lanes_cols)(float *c, const float *a, const float *b,
+                           const int64_t *brow, int64_t k, int64_t n,
+                           double bias);
     /** y[j] += row[j] * xi (float multiply, float add), j in [0,n). */
     void (*axpy_f32)(float *y, const float *row, float xi, int64_t n);
     /** row[j] = xi * y[j], j in [0,n). */
@@ -106,6 +125,38 @@ reduceLanes(const double lanes[kLanes], double bias)
     const double l45 = lanes[4] + lanes[5];
     const double l67 = lanes[6] + lanes[7];
     return static_cast<float>(bias + ((l01 + l23) + (l45 + l67)));
+}
+
+/**
+ * Scalar column form of the lane contract for @p kCols outputs
+ * starting at column 0 of @p b: the executable definition of
+ * dot_lanes_cols, and every backend's tail for the columns left over
+ * after its vector blocks.
+ */
+template <int kCols>
+inline void
+dotLanesColsBlock(float *c, const float *a, const float *b,
+                  const int64_t *brow, int64_t k, double bias)
+{
+    double lanes[kCols][kLanes] = {};
+    for (int64_t t = 0; t < k; ++t) {
+        const float at = a[t];
+        const float *bt = b + brow[t];
+        for (int q = 0; q < kCols; ++q)
+            lanes[q][t & (kLanes - 1)] += static_cast<double>(at * bt[q]);
+    }
+    for (int q = 0; q < kCols; ++q)
+        c[q] = reduceLanes(lanes[q], bias);
+}
+
+/** Columns [j0, n) of dot_lanes_cols, one at a time. */
+inline void
+dotLanesColsTail(float *c, const float *a, const float *b,
+                 const int64_t *brow, int64_t k, int64_t j0, int64_t n,
+                 double bias)
+{
+    for (int64_t j = j0; j < n; ++j)
+        dotLanesColsBlock<1>(c + j, a, b + j, brow, k, bias);
 }
 
 } // namespace gemmk

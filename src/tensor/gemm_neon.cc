@@ -8,6 +8,10 @@
  * {4,5}, {6,7}; a block of 8 floats is two 4-wide float multiplies
  * whose halves are widened pairwise.  vmulq_f32 rounds each product
  * to float exactly like the scalar backend; no fused multiply-add.
+ *
+ * dot_lanes_cols blocks 4 outputs: one 4-wide float multiply per
+ * reduction element, widened pairwise into that element's lane —
+ * two 2-wide double accumulators per lane, 16 in registers.
  */
 
 #if defined(__aarch64__)
@@ -46,6 +50,77 @@ dotLanesNeon(const float *a, const float *b, int64_t k, double bias)
     vst1q_f64(lanes + 6, acc67);
     dotLanesTail(lanes, a, b, t, k);
     return reduceLanes(lanes, bias);
+}
+
+/**
+ * Reduction element t into contract lane (lo: outputs 0..1, hi:
+ * outputs 2..3) of 4 outputs.
+ */
+inline __attribute__((always_inline)) void
+colStep(float64x2_t &lo, float64x2_t &hi, float at, const float *bt)
+{
+    const float32x4_t prod = vmulq_f32(vdupq_n_f32(at), vld1q_f32(bt));
+    lo = vaddq_f64(lo, vcvt_f64_f32(vget_low_f32(prod)));
+    hi = vaddq_f64(hi, vcvt_f64_f32(vget_high_f32(prod)));
+}
+
+/** The pinned lane tree, element-wise over 2 outputs, bias last. */
+inline float32x2_t
+colTree(const float64x2_t acc[kLanes], float64x2_t bias)
+{
+    const float64x2_t l01 = vaddq_f64(acc[0], acc[1]);
+    const float64x2_t l23 = vaddq_f64(acc[2], acc[3]);
+    const float64x2_t l45 = vaddq_f64(acc[4], acc[5]);
+    const float64x2_t l67 = vaddq_f64(acc[6], acc[7]);
+    const float64x2_t sum =
+        vaddq_f64(vaddq_f64(l01, l23), vaddq_f64(l45, l67));
+    return vcvt_f32_f64(vaddq_f64(bias, sum));
+}
+
+void
+dotLanesColsNeon(float *c, const float *a, const float *b,
+                 const int64_t *brow, int64_t k, int64_t n, double bias)
+{
+    const float64x2_t bv = vdupq_n_f64(bias);
+    int64_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+        const float *bj = b + j;
+        float64x2_t lo[kLanes], hi[kLanes];
+        for (int l = 0; l < kLanes; ++l)
+            lo[l] = hi[l] = vdupq_n_f64(0.0);
+        int64_t t = 0;
+        for (; t + kLanes <= k; t += kLanes) {
+            const int64_t *rt = brow + t;
+            colStep(lo[0], hi[0], a[t + 0], bj + rt[0]);
+            colStep(lo[1], hi[1], a[t + 1], bj + rt[1]);
+            colStep(lo[2], hi[2], a[t + 2], bj + rt[2]);
+            colStep(lo[3], hi[3], a[t + 3], bj + rt[3]);
+            colStep(lo[4], hi[4], a[t + 4], bj + rt[4]);
+            colStep(lo[5], hi[5], a[t + 5], bj + rt[5]);
+            colStep(lo[6], hi[6], a[t + 6], bj + rt[6]);
+            colStep(lo[7], hi[7], a[t + 7], bj + rt[7]);
+        }
+        // k mod 8 leftover elements go to lanes 0.. in order; constant
+        // lane indices keep the accumulators in registers.
+        const int64_t rest = k - t;
+        const int64_t *rt = brow + t;
+        if (rest > 0)
+            colStep(lo[0], hi[0], a[t + 0], bj + rt[0]);
+        if (rest > 1)
+            colStep(lo[1], hi[1], a[t + 1], bj + rt[1]);
+        if (rest > 2)
+            colStep(lo[2], hi[2], a[t + 2], bj + rt[2]);
+        if (rest > 3)
+            colStep(lo[3], hi[3], a[t + 3], bj + rt[3]);
+        if (rest > 4)
+            colStep(lo[4], hi[4], a[t + 4], bj + rt[4]);
+        if (rest > 5)
+            colStep(lo[5], hi[5], a[t + 5], bj + rt[5]);
+        if (rest > 6)
+            colStep(lo[6], hi[6], a[t + 6], bj + rt[6]);
+        vst1q_f32(c + j, vcombine_f32(colTree(lo, bv), colTree(hi, bv)));
+    }
+    dotLanesColsTail(c, a, b, brow, k, j, n, bias);
 }
 
 void
@@ -121,8 +196,8 @@ const Kernels &
 neonKernels()
 {
     static const Kernels table = {
-        dotLanesNeon, axpyF32Neon,  scaleF32Neon,
-        axpyI64Neon,  reluF32Neon, reluMaskF32Neon,
+        dotLanesNeon, dotLanesColsNeon, axpyF32Neon, scaleF32Neon,
+        axpyI64Neon,  reluF32Neon,      reluMaskF32Neon,
     };
     return table;
 }

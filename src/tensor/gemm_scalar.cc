@@ -6,7 +6,8 @@
  * this is both the fallback target and the executable definition of
  * the contract the SIMD backends must match bit-for-bit.  The eight
  * explicit accumulator chains in dot_lanes recover the instruction-
- * level parallelism the SIMD backends get from vector registers.
+ * level parallelism the SIMD backends get from vector registers;
+ * dot_lanes_cols runs four outputs' lanes side by side.
  */
 
 #include "tensor/gemm_kernels.hh"
@@ -33,6 +34,17 @@ dotLanesScalar(const float *a, const float *b, int64_t k, double bias)
     }
     dotLanesTail(lanes, a, b, t, k);
     return reduceLanes(lanes, bias);
+}
+
+void
+dotLanesColsScalar(float *c, const float *a, const float *b,
+                   const int64_t *brow, int64_t k, int64_t n, double bias)
+{
+    constexpr int kCols = 4;
+    int64_t j = 0;
+    for (; j + kCols <= n; j += kCols)
+        dotLanesColsBlock<kCols>(c + j, a, b + j, brow, k, bias);
+    dotLanesColsTail(c, a, b, brow, k, j, n, bias);
 }
 
 void
@@ -76,8 +88,9 @@ const Kernels &
 scalarKernels()
 {
     static const Kernels table = {
-        dotLanesScalar, axpyF32Scalar,  scaleF32Scalar,
-        axpyI64Scalar,  reluF32Scalar, reluMaskF32Scalar,
+        dotLanesScalar, dotLanesColsScalar, axpyF32Scalar,
+        scaleF32Scalar, axpyI64Scalar,      reluF32Scalar,
+        reluMaskF32Scalar,
     };
     return table;
 }

@@ -25,52 +25,105 @@ convExtent(int64_t in, int64_t k, int64_t stride, int64_t pad)
 }
 
 /**
- * Pack convolution windows of a (c, h, w) cube into @p col, one
- * window per row, columns in (ci, ky, kx) order — the add order of
- * the naive convolution loop, so a GEMM over these rows reduces in
- * exactly the naive sequence.  Padding positions are materialised as
- * 0.0f (adding w * ±0.0f to an accumulator is exact; see gemm.hh).
- * Pads are signed per axis: a negative pad crops that many rows or
- * columns off each edge, which the bounds checks below handle.
+ * Zero-padded copy of a (c, h, w) cube as (c, hp, wp): element
+ * (ci, y, x) is input (ci, y - pad_y, x - pad_x), or 0.0f outside it.
+ * Pads are signed per axis; a negative pad crops.  This is the only
+ * bounds logic of the convolution packs.
+ */
+void
+padCopy(const float *in_p, int64_t c, int64_t h, int64_t w, int64_t pad_y,
+        int64_t pad_x, int64_t hp, int64_t wp, float *out)
+{
+    // Columns [x_lo, x_hi) read input column x - pad_x inside [0, w).
+    const int64_t x_lo = std::min(std::max<int64_t>(pad_x, 0), wp);
+    const int64_t x_hi = std::max(x_lo, std::min(w + pad_x, wp));
+    for (int64_t cc = 0; cc < c; ++cc) {
+        for (int64_t y = 0; y < hp; ++y, out += wp) {
+            const int64_t iy = y - pad_y;
+            if (iy < 0 || iy >= h) {
+                std::fill(out, out + wp, 0.0f);
+                continue;
+            }
+            std::fill(out, out + x_lo, 0.0f);
+            if (x_hi > x_lo) {
+                std::memcpy(out + x_lo, in_p + (cc * h + iy) * w + x_lo - pad_x,
+                            static_cast<size_t>(x_hi - x_lo) * sizeof(float));
+            }
+            std::fill(out + x_hi, out + wp, 0.0f);
+        }
+    }
+}
+
+/**
+ * The tap-major view of a convolution's input: a zero-padded copy of
+ * the (c, h, w) cube, (c, hp, wp) with hp = (ho - 1) * stride + kh and
+ * wp = (wo - 1) * stride + kw, and one offset per tap.  Tap t =
+ * (ci, ky, kx) — the reduction elements in the add order of the naive
+ * loops — reads output pixel (oy, ox) at
+ * padded[brow[t] + (oy * wp + ox) * stride].  Arena scratch: a view
+ * is a LIFO scope like any ScopedBuf.  Callers time its construction
+ * under tensor.im2col (the convolution input pack).
+ */
+struct TapView
+{
+    TapView(const float *in_p, int64_t c, int64_t h, int64_t w,
+            int64_t kh, int64_t kw, int64_t stride, int64_t pad_y,
+            int64_t pad_x, int64_t ho, int64_t wo)
+        : hp((ho - 1) * stride + kh), wp((wo - 1) * stride + kw),
+          padded(static_cast<size_t>(c * hp * wp)),
+          brow(static_cast<size_t>(c * kh * kw))
+    {
+        padCopy(in_p, c, h, w, pad_y, pad_x, hp, wp, padded.data());
+        int64_t *r = brow.data();
+        for (int64_t cc = 0; cc < c; ++cc)
+            for (int64_t ky = 0; ky < kh; ++ky)
+                for (int64_t kx = 0; kx < kw; ++kx)
+                    *r++ = (cc * hp + ky) * wp + kx;
+    }
+
+    /** Start of tap @p t's run: element (oy * wp + ox) * stride. */
+    const float *tap(int64_t t) const
+    {
+        return padded.data() + brow[static_cast<size_t>(t)];
+    }
+
+    const int64_t hp, wp;
+    arena::ScopedBuf<float> padded;
+    arena::ScopedBuf<int64_t> brow;
+};
+
+/**
+ * Pack the tap-major panel of a convolution over a (c, h, w) cube at
+ * signed per-axis pads: row t = (ci, ky, kx) of @p panel holds that
+ * tap's input value at every output pixel (oy, ox), ho*wo floats.
+ * Padding positions are materialised as 0.0f (adding w * ±0.0f to an
+ * accumulator is exact; see gemm.hh).  At stride 1 each output row
+ * of a tap is one memcpy out of the padded copy.
  *
- * @p col must hold ho*wo*c*kh*kw floats, allocated by the caller
+ * @p panel must hold c*kh*kw*ho*wo floats, allocated by the caller
  * (arena scratch on the calling thread — chunk bodies only write).
  */
 void
-im2colPack(const float *in_p, int64_t c, int64_t h, int64_t w,
-           int64_t kh, int64_t kw, int64_t stride, int64_t pad_y,
-           int64_t pad_x, int64_t ho, int64_t wo, float *col)
+tapPanel(const float *in_p, int64_t c, int64_t h, int64_t w, int64_t kh,
+         int64_t kw, int64_t stride, int64_t pad_y, int64_t pad_x,
+         int64_t ho, int64_t wo, float *panel)
 {
     PL_PROF_SCOPE("tensor.im2col");
-    const int64_t patch = c * kh * kw;
-    parallel_for(0, ho * wo, /*grain=*/8, [&](int64_t r0, int64_t r1) {
-        for (int64_t row = r0; row < r1; ++row) {
-            const int64_t oy = row / wo;
-            const int64_t ox = row % wo;
-            float *dst = col + row * patch;
-            for (int64_t cc = 0; cc < c; ++cc) {
-                const float *in_c = in_p + cc * h * w;
-                for (int64_t ky = 0; ky < kh; ++ky) {
-                    const int64_t iy = oy * stride + ky - pad_y;
-                    if (iy < 0 || iy >= h) {
-                        std::fill(dst, dst + kw, 0.0f);
-                        dst += kw;
-                        continue;
-                    }
-                    const float *in_row = in_c + iy * w;
-                    const int64_t x0 = ox * stride - pad_x;
-                    if (x0 >= 0 && x0 + kw <= w) {
-                        std::memcpy(dst, in_row + x0,
-                                    static_cast<size_t>(kw) *
-                                        sizeof(float));
-                        dst += kw;
-                    } else {
-                        for (int64_t kx = 0; kx < kw; ++kx) {
-                            const int64_t ix = x0 + kx;
-                            *dst++ = (ix >= 0 && ix < w) ? in_row[ix]
-                                                         : 0.0f;
-                        }
-                    }
+    const TapView view(in_p, c, h, w, kh, kw, stride, pad_y, pad_x, ho, wo);
+    const int64_t pixels = ho * wo;
+    parallel_for(0, c * kh * kw,
+                 /*grain=*/std::max<int64_t>(1, 4096 / pixels),
+                 [&](int64_t t0, int64_t t1) {
+        for (int64_t t = t0; t < t1; ++t) {
+            float *dst = panel + t * pixels;
+            for (int64_t oy = 0; oy < ho; ++oy, dst += wo) {
+                const float *row = view.tap(t) + oy * view.wp * stride;
+                if (stride == 1) {
+                    std::memcpy(dst, row,
+                                static_cast<size_t>(wo) * sizeof(float));
+                } else {
+                    for (int64_t ox = 0; ox < wo; ++ox)
+                        dst[ox] = row[ox * stride];
                 }
             }
         }
@@ -78,13 +131,20 @@ im2colPack(const float *in_p, int64_t c, int64_t h, int64_t w,
 }
 
 /**
- * im2col + GEMM convolution of a (c, h, w) cube with a (co, c, kh, kw)
- * kernel at signed per-axis pads, writing (co, ho, wo) to @p out.
- * Each output pixel is a dot product of one kernel row against one
- * packed window row, reduced in the same (ci, ky, kx) order as the
- * direct loops — bit-identical, but with branch-free contiguous inner
- * loops (the arena panel is reused scratch, so steady state
- * allocates nothing).
+ * Convolution of a (c, h, w) cube with a (co, c, kh, kw) kernel at
+ * signed per-axis pads, writing (co, ho, wo) to @p out: one gemmNN of
+ * the kernel rows against the tap-major panel, each output pixel
+ * reducing its window in the (ci, ky, kx) order of the direct loops —
+ * bit-identical, with branch-free contiguous inner loops.
+ *
+ * At stride 1 the panel is never built: its row t is, output row by
+ * output row, the padded input read from brow[t] on, so gemmNNRows
+ * reads it in place.  Output (oy, ox) is then column oy * wp + ox of
+ * a "wide" grid whose rows are wp = wo + kw - 1 long; the kw - 1
+ * columns past wo in each row combine neighbouring pixels and are
+ * dropped.  Each kept output sees exactly the panel's operands, so
+ * the bits match.  (Arena scratch throughout, so steady state
+ * allocates nothing.)
  */
 void
 convPacked(const float *in_p, int64_t c, int64_t h, int64_t w,
@@ -93,12 +153,29 @@ convPacked(const float *in_p, int64_t c, int64_t h, int64_t w,
            int64_t pad_x, int64_t ho, int64_t wo, float *out)
 {
     const int64_t patch = c * kh * kw;
-    const int64_t rows = ho * wo;
-    arena::ScopedBuf<float> col(static_cast<size_t>(rows * patch));
-    im2colPack(in_p, c, h, w, kh, kw, stride, pad_y, pad_x, ho, wo,
-               col.data());
-    gemm::gemmNT(co, rows, patch, kernel, patch, col.data(), patch, bias,
-                 out, rows);
+    if (stride != 1) {
+        const int64_t pixels = ho * wo;
+        arena::ScopedBuf<float> panel(static_cast<size_t>(patch * pixels));
+        tapPanel(in_p, c, h, w, kh, kw, stride, pad_y, pad_x, ho, wo,
+                 panel.data());
+        gemm::gemmNN(co, pixels, patch, kernel, patch, panel.data(),
+                     pixels, bias, out, pixels);
+        return;
+    }
+    const TapView view = [&] {
+        PL_PROF_SCOPE("tensor.im2col");
+        return TapView(in_p, c, h, w, kh, kw, 1, pad_y, pad_x, ho, wo);
+    }();
+    const int64_t wp = view.wp;
+    const int64_t wide = (ho - 1) * wp + wo;
+    arena::ScopedBuf<float> grid(static_cast<size_t>(co * wide));
+    gemm::gemmNNRows(co, wide, patch, kernel, patch, view.padded.data(),
+                     view.brow.data(), bias, grid.data(), wide);
+    for (int64_t oc = 0; oc < co; ++oc)
+        for (int64_t oy = 0; oy < ho; ++oy)
+            std::memcpy(out + (oc * ho + oy) * wo,
+                        grid.data() + oc * wide + oy * wp,
+                        static_cast<size_t>(wo) * sizeof(float));
 }
 
 } // namespace
@@ -223,18 +300,20 @@ conv2dBackwardKernel(const Tensor &input, const Tensor &delta_out,
     PL_ASSERT(ho == h - kh + 1 && wo == w - kw + 1,
               "delta shape inconsistent with stride-1 convolution");
 
-    // grad[oc, (ci,ky,kx)] = Σ_(oy,ox) delta[oc, (oy,ox)] * window
-    // matrix — a plain GEMM against the same im2col panel as forward
-    // (stride 1), reducing over output pixels (oy, ox) through the
-    // 8-lane contract exactly like the reference tap loops.
+    // grad[oc, (ci,ky,kx)] = Σ_(oy,ox) delta[oc, (oy,ox)] * panel[(ci,
+    // ky,kx), (oy,ox)] — the forward's tap-major panel (stride 1) is
+    // already the transposed operand, so this is one gemmNT whose
+    // reductions run along contiguous rows of δ and of the panel,
+    // over output pixels through the 8-lane contract exactly like the
+    // reference tap loops.
     Tensor grad({co, ci, kh, kw});
     const int64_t patch = ci * kh * kw;
-    const int64_t rows = ho * wo;
-    arena::ScopedBuf<float> col(static_cast<size_t>(rows * patch));
-    im2colPack(input.data(), ci, input.dim(1), input.dim(2), kh, kw,
-               /*stride=*/1, pad, pad, ho, wo, col.data());
-    gemm::gemmNN(co, patch, rows, delta_out.data(), rows, col.data(),
-                 patch, grad.data(), patch);
+    const int64_t pixels = ho * wo;
+    arena::ScopedBuf<float> panel(static_cast<size_t>(patch * pixels));
+    tapPanel(input.data(), ci, input.dim(1), input.dim(2), kh, kw,
+             /*stride=*/1, pad, pad, ho, wo, panel.data());
+    gemm::gemmNT(co, patch, pixels, delta_out.data(), pixels, panel.data(),
+                 pixels, /*bias=*/nullptr, grad.data(), patch);
     return grad;
 }
 
@@ -263,26 +342,28 @@ maxPool(const Tensor &input, int64_t k, Tensor *indices)
     Tensor out({c, ho, wo});
     if (indices)
         *indices = Tensor({c, ho, wo});
+    const float *in = input.data();
+    float *o = out.data();
+    float *idx = indices ? indices->data() : nullptr;
     for (int64_t cc = 0; cc < c; ++cc) {
         for (int64_t oy = 0; oy < ho; ++oy) {
-            for (int64_t ox = 0; ox < wo; ++ox) {
-                float best = input(cc, oy * k, ox * k);
-                int64_t best_flat = ((cc * h) + oy * k) * w + ox * k;
+            for (int64_t ox = 0; ox < wo; ++ox, ++o) {
+                // Window taps in row-major order; the first maximum wins.
+                const int64_t first = (cc * h + oy * k) * w + ox * k;
+                float best = in[first];
+                int64_t best_flat = first;
                 for (int64_t ky = 0; ky < k; ++ky) {
+                    const int64_t row = first + ky * w;
                     for (int64_t kx = 0; kx < k; ++kx) {
-                        const int64_t iy = oy * k + ky;
-                        const int64_t ix = ox * k + kx;
-                        const float v = input(cc, iy, ix);
-                        if (v > best) {
-                            best = v;
-                            best_flat = (cc * h + iy) * w + ix;
+                        if (in[row + kx] > best) {
+                            best = in[row + kx];
+                            best_flat = row + kx;
                         }
                     }
                 }
-                out(cc, oy, ox) = best;
-                if (indices)
-                    (*indices)(cc, oy, ox) =
-                        static_cast<float>(best_flat);
+                *o = best;
+                if (idx)
+                    *idx++ = static_cast<float>(best_flat);
             }
         }
     }
@@ -297,15 +378,18 @@ maxPoolBackward(const Tensor &delta_out, const Tensor &indices,
               "indices/delta mismatch in maxPoolBackward");
     Tensor grad(input_shape);
     const int64_t limit = shapeNumel(input_shape);
+    const float *idx = indices.data();
+    const float *d = delta_out.data();
+    float *g = grad.data();
     for (int64_t i = 0; i < delta_out.numel(); ++i) {
-        const int64_t flat = static_cast<int64_t>(indices.at(i));
+        const int64_t flat = static_cast<int64_t>(idx[i]);
         // A stale or corrupted index tensor would otherwise scatter
         // into foreign gradient slots (or crash) with no diagnosis.
         PL_ASSERT(flat >= 0 && flat < limit,
                   "maxPoolBackward index %lld at position %lld outside "
                   "input of %lld elements — stale pooling indices?",
                   (long long)flat, (long long)i, (long long)limit);
-        grad.at(flat) += delta_out.at(i);
+        g[flat] += d[i];
     }
     return grad;
 }
@@ -319,14 +403,17 @@ avgPool(const Tensor &input, int64_t k)
     const int64_t ho = h / k, wo = w / k;
     const float inv = 1.0f / static_cast<float>(k * k);
     Tensor out({c, ho, wo});
+    const float *in = input.data();
+    float *o = out.data();
     for (int64_t cc = 0; cc < c; ++cc)
         for (int64_t oy = 0; oy < ho; ++oy)
             for (int64_t ox = 0; ox < wo; ++ox) {
+                const float *win = in + (cc * h + oy * k) * w + ox * k;
                 double acc = 0.0;
                 for (int64_t ky = 0; ky < k; ++ky)
                     for (int64_t kx = 0; kx < k; ++kx)
-                        acc += input(cc, oy * k + ky, ox * k + kx);
-                out(cc, oy, ox) = static_cast<float>(acc) * inv;
+                        acc += win[ky * w + kx];
+                *o++ = static_cast<float>(acc) * inv;
             }
     return out;
 }
@@ -336,16 +423,25 @@ avgPoolBackward(const Tensor &delta_out, int64_t k,
                 const Shape &input_shape)
 {
     Tensor grad(input_shape);
+    PL_ASSERT(delta_out.rank() == 3 && grad.rank() == 3 &&
+                  grad.dim(0) == delta_out.dim(0) &&
+                  grad.dim(1) >= delta_out.dim(1) * k &&
+                  grad.dim(2) >= delta_out.dim(2) * k,
+              "avgPoolBackward: delta does not fit the input shape");
     const int64_t c = delta_out.dim(0);
     const int64_t ho = delta_out.dim(1), wo = delta_out.dim(2);
+    const int64_t h = grad.dim(1), w = grad.dim(2);
     const float inv = 1.0f / static_cast<float>(k * k);
+    const float *d = delta_out.data();
+    float *g = grad.data();
     for (int64_t cc = 0; cc < c; ++cc)
         for (int64_t oy = 0; oy < ho; ++oy)
             for (int64_t ox = 0; ox < wo; ++ox) {
-                const float v = delta_out(cc, oy, ox) * inv;
+                const float v = *d++ * inv;
+                float *win = g + (cc * h + oy * k) * w + ox * k;
                 for (int64_t ky = 0; ky < k; ++ky)
                     for (int64_t kx = 0; kx < k; ++kx)
-                        grad(cc, oy * k + ky, ox * k + kx) += v;
+                        win[ky * w + kx] += v;
             }
     return grad;
 }
@@ -393,9 +489,22 @@ im2col(const Tensor &input, int64_t kh, int64_t kw, int64_t stride,
     const int64_t c = input.dim(0), h = input.dim(1), w = input.dim(2);
     const int64_t ho = convExtent(h, kh, stride, pad);
     const int64_t wo = convExtent(w, kw, stride, pad);
-    Tensor out({ho * wo, c * kh * kw});
-    im2colPack(input.data(), c, h, w, kh, kw, stride, pad, pad, ho, wo,
-               out.data());
+    const int64_t patch = c * kh * kw;
+    const int64_t pixels = ho * wo;
+    // The window-major matrix: the tap view read pixel by pixel.
+    PL_PROF_SCOPE("tensor.im2col");
+    const TapView view(input.data(), c, h, w, kh, kw, stride, pad, pad, ho,
+                       wo);
+    Tensor out({pixels, patch});
+    parallel_for(0, pixels, /*grain=*/std::max<int64_t>(1, 4096 / patch),
+                 [&](int64_t p0, int64_t p1) {
+        for (int64_t p = p0; p < p1; ++p) {
+            const int64_t at = (p / wo * view.wp + p % wo) * stride;
+            float *dst = out.data() + p * patch;
+            for (int64_t t = 0; t < patch; ++t)
+                dst[t] = view.tap(t)[at];
+        }
+    });
     return out;
 }
 

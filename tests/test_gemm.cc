@@ -15,9 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "common/arena.hh"
@@ -26,6 +28,8 @@
 #include "common/rng.hh"
 #include "reram/crossbar.hh"
 #include "reram/spike.hh"
+#include "tensor/gemm.hh"
+#include "tensor/gemm_kernels.hh"
 #include "tensor/ops.hh"
 #include "tensor/ops_reference.hh"
 
@@ -39,6 +43,35 @@ randomTensor(const Shape &shape, Rng &rng)
     for (int64_t i = 0; i < t.numel(); ++i)
         t.at(i) = static_cast<float>(rng.uniform(-1.0, 1.0));
     return t;
+}
+
+/**
+ * Signed powers of two 2^0, 2^28 or 2^56: products take five
+ * magnitudes 2^28 apart, so a double sum keeps a term one level below
+ * its running total but drops one two levels below, and top-level
+ * terms of opposite sign cancel exactly.  Which small terms survive
+ * then depends on the association, so a lane or tree order slip
+ * changes output bits instead of vanishing in an exact sum.
+ */
+Tensor
+cancellingTensor(const Shape &shape, Rng &rng)
+{
+    Tensor t(shape);
+    for (int64_t i = 0; i < t.numel(); ++i) {
+        const int exp = 28 * static_cast<int>(rng.uniformInt(3));
+        t.at(i) = std::ldexp(rng.uniform() < 0.5 ? -1.0f : 1.0f, exp);
+    }
+    return t;
+}
+
+/**
+ * Fuzz operands: odd iterations draw cancellingTensor, so a reduction
+ * order slip shows, even ones uniform values.
+ */
+Tensor
+fuzzTensor(const Shape &shape, Rng &rng, int iter)
+{
+    return iter % 2 ? cancellingTensor(shape, rng) : randomTensor(shape, rng);
 }
 
 /** Exact equality: same shape and the same float bit patterns. */
@@ -105,8 +138,8 @@ TEST(GemmFuzz, Conv2dForwardMatchesReferenceBitExact)
                 kh + static_cast<int64_t>(rng.uniformInt(9));
             const int64_t w =
                 kw + static_cast<int64_t>(rng.uniformInt(9));
-            const Tensor input = randomTensor({ci, h, w}, rng);
-            const Tensor kernel = randomTensor({co, ci, kh, kw}, rng);
+            const Tensor input = fuzzTensor({ci, h, w}, rng, iter);
+            const Tensor kernel = fuzzTensor({co, ci, kh, kw}, rng, iter);
             const bool has_bias = rng.uniform() < 0.5;
             const Tensor bias =
                 has_bias ? randomTensor({co}, rng) : Tensor();
@@ -118,6 +151,32 @@ TEST(GemmFuzz, Conv2dForwardMatchesReferenceBitExact)
             SCOPED_TRACE("threads=" + std::to_string(threads) +
                          " iter=" + std::to_string(iter));
             expectBitIdentical(fast, ref, "conv2d");
+        }
+        // The strided branch of the tap-panel pack with padding on
+        // both sides, every stride 2/3 x pad 1/2 pairing, on data whose
+        // sums depend on association (see cancellingTensor).
+        for (int iter = 0; iter < 16; ++iter) {
+            const int64_t stride = 2 + iter % 2;
+            const int64_t pad = 1 + (iter / 2) % 2;
+            const int64_t ci = 1 + static_cast<int64_t>(rng.uniformInt(3));
+            const int64_t co = 1 + static_cast<int64_t>(rng.uniformInt(4));
+            const int64_t kh = 1 + static_cast<int64_t>(rng.uniformInt(4));
+            const int64_t kw = 1 + static_cast<int64_t>(rng.uniformInt(4));
+            const int64_t h = kh + static_cast<int64_t>(rng.uniformInt(12));
+            const int64_t w = kw + static_cast<int64_t>(rng.uniformInt(12));
+            const Tensor input = cancellingTensor({ci, h, w}, rng);
+            const Tensor kernel = cancellingTensor({co, ci, kh, kw}, rng);
+            const Tensor bias = randomTensor({co}, rng);
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
+                         " strided iter=" + std::to_string(iter));
+            expectBitIdentical(
+                ops::conv2d(input, kernel, bias, stride, pad),
+                ops::reference::conv2d(input, kernel, bias, stride, pad),
+                "strided padded conv2d");
+            expectBitIdentical(
+                ops::im2col(input, kh, kw, stride, pad),
+                ops::reference::im2col(input, kh, kw, stride, pad),
+                "strided padded im2col");
         }
     });
 }
@@ -138,8 +197,8 @@ TEST(GemmFuzz, Conv2dBackwardKernelMatchesReferenceBitExact)
                 kw + static_cast<int64_t>(rng.uniformInt(8));
             const int64_t ho = h + 2 * pad - kh + 1;
             const int64_t wo = w + 2 * pad - kw + 1;
-            const Tensor input = randomTensor({ci, h, w}, rng);
-            const Tensor delta = randomTensor({co, ho, wo}, rng);
+            const Tensor input = fuzzTensor({ci, h, w}, rng, iter);
+            const Tensor delta = fuzzTensor({co, ho, wo}, rng, iter);
 
             const Tensor fast =
                 ops::conv2dBackwardKernel(input, delta, kh, kw, pad);
@@ -172,8 +231,8 @@ TEST(GemmFuzz, Conv2dBackwardInputMatchesReferenceBitExact)
             const int64_t w = k + static_cast<int64_t>(rng.uniformInt(8));
             const int64_t ho = h + 2 * pad - k + 1;
             const int64_t wo = w + 2 * pad - k + 1;
-            const Tensor kernel = randomTensor({co, ci, k, k}, rng);
-            const Tensor delta = randomTensor({co, ho, wo}, rng);
+            const Tensor kernel = fuzzTensor({co, ci, k, k}, rng, iter);
+            const Tensor delta = fuzzTensor({co, ho, wo}, rng, iter);
 
             const Tensor fast =
                 ops::conv2dBackwardInput(delta, kernel, pad);
@@ -198,9 +257,9 @@ TEST(GemmFuzz, MatVecFamilyMatchesReferenceBitExact)
                 1 + static_cast<int64_t>(rng.uniformInt(130));
             const int64_t m =
                 1 + static_cast<int64_t>(rng.uniformInt(130));
-            const Tensor weight = randomTensor({n, m}, rng);
-            const Tensor x = randomTensor({m}, rng);
-            const Tensor y = randomTensor({n}, rng);
+            const Tensor weight = fuzzTensor({n, m}, rng, iter);
+            const Tensor x = fuzzTensor({m}, rng, iter);
+            const Tensor y = fuzzTensor({n}, rng, iter);
             SCOPED_TRACE("threads=" + std::to_string(threads) +
                          " iter=" + std::to_string(iter));
             expectBitIdentical(ops::matVec(weight, x),
@@ -211,6 +270,99 @@ TEST(GemmFuzz, MatVecFamilyMatchesReferenceBitExact)
                                "matVecT");
             expectBitIdentical(ops::outer(x, y),
                                ops::reference::outer(x, y), "outer");
+        }
+    });
+}
+
+TEST(GemmFuzz, DotLanesColsMatchesDotLanesBitExact)
+{
+    // The column lane kernel (each output reduces one column of B)
+    // against dot_lanes on the transposed operand, the naive
+    // reference, and gemmNN / gemmNNRows against gemmNT on Bᵀ.  n
+    // straddles every column block (4, 16); k covers every lane tail
+    // and long reductions.  B's rows sit in a shuffled order in
+    // storage (the kernel reads them through row offsets, as a
+    // convolution's taps are read), its columns past n hold ±inf /
+    // NaN, and C's slots past n hold a sentinel: neither may reach a
+    // stored output.
+    Rng rng(0xC0175u);
+    const float kNonFinite[] = {std::numeric_limits<float>::infinity(),
+                                -std::numeric_limits<float>::infinity(),
+                                std::numeric_limits<float>::quiet_NaN()};
+    const float kSentinel = 12345.0f;
+    const std::vector<int64_t> ks = {1, 2, 3, 4, 5, 6, 7, 8, 9, 72, 144, 257};
+    atThreadCounts([&](int64_t threads) {
+        const gemmk::Kernels &kern = gemmk::activeKernels();
+        for (const int64_t k : ks) {
+            for (int64_t n = 1; n <= 40; ++n) {
+                SCOPED_TRACE("threads=" + std::to_string(threads) +
+                             " k=" + std::to_string(k) +
+                             " n=" + std::to_string(n));
+                const int64_t ldb =
+                    n + 1 + static_cast<int64_t>(rng.uniformInt(7));
+                const int64_t m = 1 + n % 3;
+                const Tensor a = cancellingTensor({m, k}, rng);
+                Tensor b = cancellingTensor({k, ldb}, rng);
+                for (int64_t t = 0; t < k; ++t)
+                    for (int64_t j = n; j < ldb; ++j)
+                        b(t, j) = kNonFinite[(t + j) % 3];
+                // Logical row t of B is stored at row slot[t].
+                std::vector<int64_t> slot(static_cast<size_t>(k));
+                for (int64_t t = 0; t < k; ++t)
+                    slot[t] = t;
+                for (int64_t t = k - 1; t > 0; --t) {
+                    std::swap(slot[t], slot[rng.uniformInt(
+                                           static_cast<uint64_t>(t + 1))]);
+                }
+                std::vector<int64_t> brow(static_cast<size_t>(k));
+                Tensor bt({n, k}), bdense({k, n});
+                for (int64_t t = 0; t < k; ++t) {
+                    brow[t] = slot[t] * ldb;
+                    for (int64_t j = 0; j < n; ++j) {
+                        bt(j, t) = b(slot[t], j);
+                        bdense(t, j) = b(slot[t], j);
+                    }
+                }
+                const Tensor bias = randomTensor({m}, rng);
+
+                std::vector<float> c(static_cast<size_t>(n + 16),
+                                     kSentinel);
+                const double b0 = static_cast<double>(bias.at(0));
+                kern.dot_lanes_cols(c.data(), a.data(), b.data(),
+                                    brow.data(), k, n, b0);
+                for (int64_t j = 0; j < n; ++j) {
+                    const float want =
+                        kern.dot_lanes(a.data(), bt.data() + j * k, k, b0);
+                    ASSERT_EQ(0, std::memcmp(&c[j], &want, sizeof(float)))
+                        << "column " << j << ": " << c[j] << " vs " << want;
+                }
+                for (int64_t j = n; j < n + 16; ++j)
+                    ASSERT_EQ(c[j], kSentinel) << "stored past n at " << j;
+
+                // Without bias: the naive reference (matVec is the
+                // lane recipe written out) over Bᵀ.
+                kern.dot_lanes_cols(c.data(), a.data(), b.data(),
+                                    brow.data(), k, n, 0.0);
+                Tensor a0({k});
+                std::memcpy(a0.data(), a.data(),
+                            static_cast<size_t>(k) * sizeof(float));
+                const Tensor ref = ops::reference::matVec(bt, a0);
+                ASSERT_EQ(0, std::memcmp(c.data(), ref.data(),
+                                         static_cast<size_t>(n) *
+                                             sizeof(float)));
+
+                // gemmNNRows and gemmNN (chunked over row x
+                // column-tile pairs) are gemmNT on Bᵀ, bias included.
+                Tensor rows({m, n}), nn({m, n}), nt({m, n});
+                gemm::gemmNNRows(m, n, k, a.data(), k, b.data(),
+                                 brow.data(), bias.data(), rows.data(), n);
+                gemm::gemmNN(m, n, k, a.data(), k, bdense.data(), n,
+                             bias.data(), nn.data(), n);
+                gemm::gemmNT(m, n, k, a.data(), k, bt.data(), k,
+                             bias.data(), nt.data(), n);
+                expectBitIdentical(rows, nt, "gemmNNRows vs gemmNT");
+                expectBitIdentical(nn, nt, "gemmNN vs gemmNT");
+            }
         }
     });
 }

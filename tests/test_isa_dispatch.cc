@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -22,6 +23,7 @@
 #include "nn/layers.hh"
 #include "reram/array_group.hh"
 #include "reram/params.hh"
+#include "tensor/gemm_kernels.hh"
 #include "tensor/ops.hh"
 #include "tensor/tensor.hh"
 
@@ -62,9 +64,10 @@ TEST(IsaDispatch, DetectionSanity)
     EXPECT_EQ(avail.front(), isa::Target::Scalar);
     for (size_t i = 0; i < avail.size(); ++i) {
         EXPECT_TRUE(isa::supported(avail[i]));
-        if (i > 0) // narrowest first
+        if (i > 0) { // narrowest first
             EXPECT_LT(static_cast<int>(avail[i - 1]),
                       static_cast<int>(avail[i]));
+        }
     }
     // best() is the widest available target, and whatever is active
     // must be something the host can actually run.
@@ -159,6 +162,47 @@ TEST(IsaDispatch, ResultsByteIdenticalAcrossTargetsAndThreads)
         }
     }
     setThreadCount(saved);
+}
+
+TEST(IsaDispatch, ColumnLaneKernelByteIdenticalAcrossTargets)
+{
+    // dot_lanes_cols straight from each target's table against the
+    // scalar table (the executable contract), over every lane tail
+    // and ragged column counts.  Signed powers of two 2^0, 2^28, 2^56
+    // (see test_gemm.cc's cancellingTensor): which terms survive the
+    // double sums depends on association, so a lane or tree order
+    // slip changes bits.
+    Rng rng(0xC01Du);
+    constexpr int64_t kMaxK = 40, kN = 37, kLdb = 41;
+    Tensor a({kMaxK}), b({kMaxK, kLdb});
+    for (Tensor *x : {&a, &b}) {
+        for (int64_t i = 0; i < x->numel(); ++i) {
+            x->at(i) = std::ldexp(rng.uniform() < 0.5 ? -1.0f : 1.0f,
+                                  28 * static_cast<int>(rng.uniformInt(3)));
+        }
+    }
+    std::vector<int64_t> brow(kMaxK);
+    for (int64_t t = 0; t < kMaxK; ++t)
+        brow[t] = t * kLdb;
+    for (int64_t k = 1; k <= kMaxK; ++k) {
+        std::vector<float> want(kN);
+        gemmk::scalarKernels().dot_lanes_cols(want.data(), a.data(),
+                                              b.data(), brow.data(), k, kN,
+                                              0.25);
+        for (isa::Target t : isa::availableTargets()) {
+            for (int64_t n : {int64_t{1}, int64_t{5}, int64_t{16},
+                              int64_t{17}, kN}) {
+                std::vector<float> got(static_cast<size_t>(n));
+                gemmk::kernelsFor(t).dot_lanes_cols(got.data(), a.data(),
+                                                    b.data(), brow.data(), k,
+                                                    n, 0.25);
+                EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                         static_cast<size_t>(n) *
+                                             sizeof(float)))
+                    << "isa=" << isa::name(t) << " k=" << k << " n=" << n;
+            }
+        }
+    }
 }
 
 TEST(IsaDispatch, ReluLayerByteIdenticalAcrossTargets)

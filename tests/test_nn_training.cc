@@ -13,6 +13,7 @@
 
 #include "common/isa.hh"
 #include "common/parallel.hh"
+#include "common/prof.hh"
 #include "common/rng.hh"
 #include "nn/layers.hh"
 #include "nn/network.hh"
@@ -257,6 +258,80 @@ TEST(Training, TrainBatchMatchesPerSampleProtocolBitExact)
     ::unsetenv("PL_ISA");
     isa::reresolveFromEnv();
     setThreadCount(saved);
+}
+
+/** Memcmp-equal parameters of two layers. */
+void
+expectSameParameters(Layer &a, Layer &b)
+{
+    const auto pa = a.parameters();
+    const auto pb = b.parameters();
+    ASSERT_EQ(pa.size(), pb.size());
+    for (size_t k = 0; k < pa.size(); ++k) {
+        ASSERT_EQ(pa[k]->shape(), pb[k]->shape());
+        EXPECT_EQ(0, std::memcmp(pa[k]->data(), pb[k]->data(),
+                                 static_cast<size_t>(pa[k]->numel()) *
+                                     sizeof(float)))
+            << "parameter " << k;
+    }
+}
+
+TEST(Network, FirstLayerSkipsOnlyItsInputError)
+{
+    // backwardParams accumulates exactly backwardBatch's parameter
+    // gradients, for both layer kinds that skip their input error.
+    Rng data(41);
+    {
+        Rng ra(42), rb(42);
+        ConvLayer a(2, 3, 3, 1, 1, ra), b(2, 3, 3, 1, 1, rb);
+        const Tensor x = Tensor::randn({2, 6, 6}, data);
+        const Tensor d = Tensor::randn({3, 6, 6}, data);
+        a.forward(x);
+        b.forward(x);
+        a.backwardParams(std::vector<Tensor>(1, d));
+        EXPECT_EQ(b.backward(d).shape(), x.shape());
+        a.applyUpdate(0.1f, 1);
+        b.applyUpdate(0.1f, 1);
+        expectSameParameters(a, b);
+    }
+    {
+        Rng ra(43), rb(43);
+        InnerProductLayer a(7, 4, ra), b(7, 4, rb);
+        const Tensor x = Tensor::randn({7}, data);
+        const Tensor d = Tensor::randn({4}, data);
+        a.forward(x);
+        b.forward(x);
+        a.backwardParams(std::vector<Tensor>(1, d));
+        EXPECT_EQ(b.backward(d).shape(), x.shape());
+        a.applyUpdate(0.1f, 1);
+        b.applyUpdate(0.1f, 1);
+        expectSameParameters(a, b);
+    }
+
+    // A training step runs the input-error convolution for every conv
+    // layer but the first, and every kernel gradient.
+    const bool was_enabled = prof::enabled();
+    prof::setEnabled(true);
+    prof::reset();
+    Rng rng(44);
+    Network net = everyKindNet(rng);
+    std::vector<Tensor> inputs;
+    std::vector<int64_t> labels;
+    for (int i = 0; i < 3; ++i) {
+        inputs.push_back(Tensor::randn({2, 8, 8}, data));
+        labels.push_back(i);
+    }
+    net.trainBatch(inputs, labels, 0.1f);
+    const prof::Report report = prof::snapshot();
+    prof::setEnabled(was_enabled);
+    const prof::SiteReport *bwd_input =
+        report.find("tensor.conv2d_bwd_input");
+    const prof::SiteReport *bwd_kernel =
+        report.find("tensor.conv2d_bwd_kernel");
+    ASSERT_NE(bwd_input, nullptr);
+    ASSERT_NE(bwd_kernel, nullptr);
+    EXPECT_EQ(bwd_input->calls, 3u);  // second conv only
+    EXPECT_EQ(bwd_kernel->calls, 6u); // both convs
 }
 
 TEST(Network, AccuracyMatchesPerSamplePredictions)

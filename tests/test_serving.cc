@@ -92,6 +92,62 @@ TEST(ArrivalTrace, RejectsBadDescriptions)
         ConfigError);
 }
 
+/** The ConfigError message fromJson raises for @p text. */
+std::string
+fromJsonError(const std::string &text)
+{
+    try {
+        ArrivalTrace::fromJson(json::parse(text));
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "(no error)";
+}
+
+TEST(ArrivalTrace, FromJsonRejectsNonIntegerFieldsNamingTheValue)
+{
+    // Each integer field is checked, not truncated: 2.6 requests must
+    // not silently run 2, and 1e30 or a negative seed must not reach
+    // an undefined cast.
+    const auto expectRejects = [](const std::string &text,
+                                  const std::string &key,
+                                  const std::string &value) {
+        const std::string msg = fromJsonError(text);
+        EXPECT_NE(msg.find(key), std::string::npos) << text << ": " << msg;
+        EXPECT_NE(msg.find(value), std::string::npos)
+            << text << ": " << msg;
+    };
+    expectRejects(R"({"kind":"fixed","num_requests":2.6,"interval":3})",
+                  "num_requests", "2.6");
+    expectRejects(R"({"kind":"fixed","num_requests":1e30,"interval":3})",
+                  "num_requests", "1e+30");
+    expectRejects(R"({"kind":"fixed","num_requests":4,"interval":1.5})",
+                  "interval", "1.5");
+    expectRejects(
+        R"({"kind":"poisson","num_requests":4,"rate_per_cycle":0.5,)"
+        R"("seed":-3})",
+        "seed", "-3");
+    expectRejects(
+        R"({"kind":"poisson","num_requests":4,"rate_per_cycle":0.5,)"
+        R"("seed":0.25})",
+        "seed", "0.25");
+    expectRejects(R"({"kind":"uniform","num_requests":4,"min_gap":1,)"
+                  R"("max_gap":2.5,"seed":1})",
+                  "max_gap", "2.5");
+    expectRejects(R"({"kind":"bursty","num_requests":4,)"
+                  R"("burst_size":-1e30,"mean_gap":2,"seed":1})",
+                  "burst_size", "-1e+30");
+    expectRejects(R"({"kind":"bursty","num_requests":4,"burst_size":2,)"
+                  R"("mean_gap":2.75,"seed":1})",
+                  "mean_gap", "2.75");
+
+    // Exact integers written as doubles still parse.
+    const ArrivalTrace t = ArrivalTrace::fromJson(json::parse(
+        R"({"kind":"uniform","num_requests":4.0,"min_gap":1,)"
+        R"("max_gap":3,"seed":7.0})"));
+    EXPECT_EQ(t, ArrivalTrace::uniform(4, 1, 3, 7));
+}
+
 // ---------------------------------------------------------------------
 // Job: the description / execution split
 
@@ -313,8 +369,9 @@ TEST(ServingSim, BatchSizeNeverExceedsMax)
     }
     EXPECT_EQ(covered, rep.admitted_count);
     for (const CompletionRecord &rec : rep.completions) {
-        if (rec.admitted)
+        if (rec.admitted) {
             EXPECT_LE(rec.batch_size, 6);
+        }
     }
 }
 
